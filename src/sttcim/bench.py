@@ -51,7 +51,6 @@ __all__ = [
     "KernelRun",
     "KERNEL_MODES",
     "DEFAULT_SIZES",
-    "kernel_names",
     "run_kernel",
     "marginal_cycles",
     "marginal_speedup",
@@ -110,10 +109,6 @@ class _Setup:
     reference: int
     read_result: Callable[[CimArray, Cpu], int]
     rewrites: int = 0
-
-
-def kernel_names() -> tuple[str, ...]:
-    return tuple(KERNEL_MODES)
 
 
 def _words(rng: random.Random, n: int) -> list[int]:

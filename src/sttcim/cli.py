@@ -25,7 +25,7 @@ from .bench import (
     run_kernel,
 )
 from .cimarray import ArrayConfig, CimArray
-from .cpu import format_program, parse_program
+from .cpu import AsmError, format_program, parse_program
 from .device import (
     DeviceParams,
     VariationSpec,
@@ -38,6 +38,24 @@ from .mapper import plan_type1, plan_type2, plan_type3
 from .xform import transform
 
 __all__ = ["main"]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _write_out(args, text: str) -> None:
@@ -117,8 +135,15 @@ def _cmd_map_plan(args) -> int:
 
 
 def _cmd_xform(args) -> int:
-    with open(args.asm, encoding="utf-8") as fh:
-        prog = parse_program(fh.read())
+    try:
+        with open(args.asm, encoding="utf-8") as fh:
+            prog = parse_program(fh.read())
+    except OSError as exc:
+        print(f"xform failed: cannot read {args.asm}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except (UnicodeDecodeError, AsmError) as exc:
+        print(f"xform failed: {args.asm}: {exc}", file=sys.stderr)
+        return 2
     report = transform(prog, _make_plan(args))
     for rw in report.rewrites:
         print(f"# rewrite @{rw.index}: {rw.kind} ({rw.proof})")
@@ -144,9 +169,8 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_bench_sweep(args) -> int:
-    latencies = [int(tok) for tok in args.latencies.split(",")]
     try:
-        points = latency_sweep(args.kernel, args.mode, latencies, args.n, args.seed)
+        points = latency_sweep(args.kernel, args.mode, args.latencies, args.n, args.seed)
     except BenchError as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
         return 1
@@ -163,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True
     )
     mc = device.add_parser("mc", help="Monte Carlo decision failures")
-    mc.add_argument("--samples", type=int, default=100_000)
+    mc.add_argument("--samples", type=_positive_int, default=100_000)
     mc.add_argument("--seed", type=int, default=12345)
     mc.add_argument("--scale", type=float, default=1.0, help="variation scale factor")
     mc.add_argument("--config", help="key=value device parameter file")
@@ -223,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = bench.add_parser("sweep", help="speedup across memory latencies")
     sweep.add_argument("--kernel", choices=tuple(KERNEL_MODES), default="vecsum")
     sweep.add_argument("--mode", default="cim")
-    sweep.add_argument("--latencies", default="1,2,4,8,16")
+    sweep.add_argument("--latencies", type=_int_list, default="1,2,4,8,16")
     sweep.add_argument("--n", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=7)
     sweep.add_argument("--out")

@@ -39,14 +39,24 @@ Alignment safety, two proof strategies:
 ``CIMNOT`` needs only the liveness argument: a single operand has no
 alignment constraint.
 
-Rewriting runs to a fixed point (each pass restarts the scan), so the
-transform is idempotent; every three-instruction rewrite shrinks the
-program by two instructions, the NOT form by one.
+Rewriting is one forward scan to a fixed point, so the transform is
+idempotent; every three-instruction rewrite shrinks the program by two
+instructions, the NOT form by one.  The scan carries the constant state of
+the straight-line prefix forward and rebuilds the label map and branch
+targets once per rewrite.  After a rewrite at i it resumes at i: the prefix
+is unchanged, and a rejected window before i stays rejected, since dropping
+the loaded registers' writes only lengthens the paths that read them, the
+contracted window holds no label, and a CIM instruction starts no pattern.
+The exception is a register whose writer count falls to two, which may turn
+into an induction register for an earlier window; the scan then restarts
+at entry.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .cimarray import Addr, ArrayConfig, CimArray, SPARE_ALIAS
@@ -191,19 +201,20 @@ def _reaches_avoiding(prog, labels, src: int, avoid: int, dst: int) -> bool:
     return False
 
 
-def _branch_targets(prog: Program, labels) -> set[int]:
-    out = set()
+def _cfg_facts(prog: Program) -> tuple[dict[str, int], set[int]]:
+    """(label map, branch-target set) of one program version."""
+    labels = prog.label_map()
+    targets = set()
     for ins in prog.instructions:
         if ins.op in _BRANCHES:
-            out.add(labels[ins.args[2]])
+            targets.add(labels[ins.args[2]])
         elif ins.op == "JMP":
-            out.add(labels[ins.args[0]])
-    return out
+            targets.add(labels[ins.args[0]])
+    return labels, targets
 
 
-def _block_end(prog: Program, labels, i: int) -> int:
+def _block_end(prog: Program, targets: set[int], i: int) -> int:
     """One past the last instruction of the basic block containing i."""
-    targets = _branch_targets(prog, labels)
     j = i
     n = len(prog.instructions)
     while j < n:
@@ -216,66 +227,40 @@ def _block_end(prog: Program, labels, i: int) -> int:
     return n
 
 
-def _const_prefix(prog: Program, labels, upto: int) -> dict[int, int] | None:
-    """Register values at instruction upto when the window provably runs at
-    most once on a straight line from entry; None otherwise."""
-    targets = _branch_targets(prog, labels)
-    if any(t <= upto for t in targets):
+_FOLD = {"ADD": operator.add, "SUB": operator.sub, "AND": operator.and_,
+         "OR": operator.or_, "XOR": operator.xor}
+
+
+def _fold(known: dict[int, int] | None, ins: Instruction) -> dict[int, int] | None:
+    """Constant propagation through one instruction on the straight line from
+    entry: updates and returns known, or None once control flow is reached."""
+    op, a = ins.op, ins.args
+    if known is None or op in _BRANCHES or op in ("JMP", "HALT"):
         return None
-    known: dict[int, int] = {0: 0}
-
-    def put(reg, val):
-        if reg != 0:
-            known[reg] = val & 0xFFFFFFFFFFFFFFFF
-
-    def drop(reg):
-        known.pop(reg, None)
-
-    for idx in range(upto):
-        ins = prog.instructions[idx]
-        op, a = ins.op, ins.args
-        if op in _BRANCHES or op == "JMP":
-            return None
-        if op == "HALT":
-            return None
-        if op == "ADDI":
-            if a[1] in known:
-                put(a[0], known[a[1]] + a[2])
-            else:
-                drop(a[0])
-        elif op == "LUI":
-            put(a[0], a[1] << 16)
-        elif op in ("ADD", "SUB", "AND", "OR", "XOR"):
-            if a[1] in known and a[2] in known:
-                x, y = known[a[1]], known[a[2]]
-                val = {
-                    "ADD": x + y,
-                    "SUB": x - y,
-                    "AND": x & y,
-                    "OR": x | y,
-                    "XOR": x ^ y,
-                }[op]
-                put(a[0], val)
-            else:
-                drop(a[0])
-        else:
-            _, writes = _uses(ins)
-            for w in writes:
-                drop(w)
+    if op == "ADDI" and a[1] in known:
+        val = known[a[1]] + a[2]
+    elif op == "LUI":
+        val = a[1] << 16
+    elif op in _FOLD and a[1] in known and a[2] in known:
+        val = _FOLD[op](known[a[1]], known[a[2]])
+    else:
+        for w in _uses(ins)[1]:
+            known.pop(w, None)
+        return known
+    if a[0] != 0:
+        known[a[0]] = val & 0xFFFFFFFFFFFFFFFF
     return known
 
 
-def _induction(prog: Program, reg: int):
+def _induction(prog: Program, writers: Counter, reg: int):
     """(init_value, stride, init_index, step_index) if reg is a two-write
     induction register: one constant init, one self-step."""
-    writers = [
-        i for i, ins in enumerate(prog.instructions) if reg in _uses(ins)[1]
-    ]
-    if len(writers) != 2 or reg == 0:
+    if writers[reg] != 2 or reg == 0:
         return None
     init = step = None
-    for i in writers:
-        ins = prog.instructions[i]
+    for i, ins in enumerate(prog.instructions):
+        if reg not in _uses(ins)[1]:
+            continue
         if ins.op == "ADDI" and ins.args == (reg, 0, ins.args[2]):
             init = (i, ins.args[2])
         elif ins.op == "LUI" and ins.args[0] == reg:
@@ -292,16 +277,18 @@ def _in_plan(plan: MapPlan, linear: int) -> bool:
     return any(seg.base <= base < seg.end for seg in plan.segments)
 
 
-def _prove_alignment(prog, labels, plan, win_start, win_end, ra, rb):
-    """Proof string if every execution of the window sees a legal pair."""
+def _prove_alignment(prog, labels, targets, writers, plan, known,
+                     win_start, win_end, ra, rb):
+    """Proof string if every execution of the window sees a legal pair.
+    known: register values at win_start if the window runs at most once on
+    a straight line from entry, else None."""
     cfg = plan.config
-    known = _const_prefix(prog, labels, win_start)
     if known is not None and ra in known and rb in known:
         if addresses_aligned(cfg, known[ra], known[rb]):
             return "const"
         return None
-    ia = _induction(prog, ra)
-    ib = _induction(prog, rb)
+    ia = _induction(prog, writers, ra)
+    ib = _induction(prog, writers, rb)
     if ia is None or ib is None:
         return None
     base_a, stride_a, init_a, step_a = ia
@@ -316,7 +303,7 @@ def _prove_alignment(prog, labels, plan, win_start, win_end, ra, rb):
         if _reaches_avoiding(prog, labels, 0, init_idx, win_start):
             return None
     # Both steps inside the window's block, after the window.
-    bend = _block_end(prog, labels, win_start)
+    bend = _block_end(prog, targets, win_start)
     for step_idx in (step_a, step_b):
         if not win_end <= step_idx < bend:
             return None
@@ -336,7 +323,7 @@ def _prove_alignment(prog, labels, plan, win_start, win_end, ra, rb):
     return f"induction k=0..{checked - 1}"
 
 
-def _try_cim_window(prog, labels, plan, i):
+def _try_cim_window(prog, labels, targets, writers, plan, known, i):
     ins0 = prog.instructions[i]
     if i + 2 >= len(prog.instructions):
         return None
@@ -363,7 +350,8 @@ def _try_cim_window(prog, labels, plan, i):
     for loaded in (rx, ry):
         if loaded != rz and _may_read_before_write(prog, labels, after, loaded):
             return None
-    proof = _prove_alignment(prog, labels, plan, i, i + 3, ra, rb)
+    proof = _prove_alignment(prog, labels, targets, writers, plan, known,
+                             i, i + 3, ra, rb)
     if proof is None:
         return None
     new_ins = Instruction(_OP_TO_CIM[ins2.op], (rz, bases[0], bases[1]), ins0.labels, ins0.line)
@@ -395,21 +383,30 @@ def transform(prog: Program, plan: MapPlan) -> XformReport:
     current = Program(list(prog.instructions))
     rewrites: list[Rewrite] = []
     before = len(current)
-    changed = True
-    while changed:
-        changed = False
-        labels = current.label_map()
-        for i in range(len(current.instructions)):
-            hit = _try_cim_window(current, labels, plan, i) or _try_not_window(
-                current, labels, i
-            )
-            if hit is None:
-                continue
-            new_ins, width, note = hit
-            current.instructions[i : i + width] = [new_ins]
-            rewrites.append(note)
-            changed = True
-            break
+    writers = Counter(r for ins in current.instructions for r in _uses(ins)[1])
+    labels = None
+    i, known = 0, {0: 0}
+    while i < len(current.instructions):
+        if labels is None:
+            labels, targets = _cfg_facts(current)
+            first_target = min(targets, default=len(current))
+        const = known if first_target > i else None
+        hit = (_try_cim_window(current, labels, targets, writers, plan, const, i)
+               or _try_not_window(current, labels, i))
+        if hit is None:
+            known = _fold(known, current.instructions[i])
+            i += 1
+            continue
+        new_ins, width, note = hit
+        dropped = Counter(r for ins in current.instructions[i : i + width] for r in _uses(ins)[1])
+        dropped.subtract(_uses(new_ins)[1])
+        writers.subtract(dropped)
+        current.instructions[i : i + width] = [new_ins]
+        rewrites.append(note)
+        labels = None
+        # A register left with two writers may prove an earlier window.
+        if any(d > 0 and writers[r] == 2 for r, d in dropped.items()):
+            i, known = 0, {0: 0}
     return XformReport(
         program=current,
         rewrites=tuple(rewrites),
@@ -429,13 +426,15 @@ def verify_equivalence(original: Program, transformed: Program, plan: MapPlan,
     temporaries, and that difference must stay invisible through memory.
     Returns True iff both programs halt and leave byte-identical banks.
     """
+    seeded = CimArray(plan.config)
+    rng = random.Random(seed)
+    for seg in plan.segments:
+        for i in range(seg.length):
+            seeded.write_word(seg.base + i, rng.getrandbits(plan.config.word_width))
     images = []
     for prog in (original, transformed):
         arr = CimArray(plan.config)
-        rng = random.Random(seed)
-        for seg in plan.segments:
-            for i in range(seg.length):
-                arr.write_word(seg.base + i, rng.getrandbits(plan.config.word_width))
+        arr._banks = [list(bank) for bank in seeded._banks]
         cpu = Cpu(arr, prog)
         try:
             cpu.run(max_steps=max_steps)

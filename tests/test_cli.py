@@ -1,3 +1,5 @@
+import pytest
+
 from sttcim.cli import main
 
 
@@ -84,3 +86,38 @@ def test_bench_sweep_csv(capsys):
     assert lines[0] == "latency,speedup"
     assert lines[1] == "1,1.500000"
     assert lines[2].startswith("16,1.857")
+
+
+def test_xform_unreadable_input_fails_cleanly(tmp_path, capsys):
+    missing = tmp_path / "missing.asm"
+    assert main(["xform", str(missing), "--n", "32"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"xform failed: cannot read {missing}: No such file or directory\n"
+    assert main(["xform", str(tmp_path), "--n", "32"]) == 2
+    assert capsys.readouterr().err.startswith(f"xform failed: cannot read {tmp_path}: ")
+
+
+def test_xform_bad_assembly_fails_cleanly(tmp_path, capsys):
+    src = tmp_path / "bad.asm"
+    src.write_text("FOO r1\nHALT\n")
+    assert main(["xform", str(src), "--n", "32"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"xform failed: {src}: line 1: unknown mnemonic 'FOO'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "sweep", "--latencies", "1,x"],
+     "argument --latencies: expected comma-separated integers, got '1,x'"),
+    (["device", "mc", "--samples", "0"],
+     "argument --samples: expected a positive integer, got '0'"),
+    (["device", "mc", "--samples", "-3"],
+     "argument --samples: expected a positive integer, got '-3'"),
+])
+def test_bad_numeric_options_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+    assert "Traceback" not in err

@@ -1,10 +1,14 @@
 """Transform: window matching, liveness and alignment proofs, induction
 guards, and end-to-end equivalence of rewritten programs."""
 
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sttcim import xform
 from sttcim.cimarray import ArrayConfig, CimArray, SPARE_ALIAS
-from sttcim.cpu import Cpu, parse_program
+from sttcim.cpu import Cpu, Program, format_program, parse_program
 from sttcim.mapper import plan_type1, plan_type2
 from sttcim.xform import addresses_aligned, transform, verify_equivalence
 
@@ -350,3 +354,167 @@ def test_verify_equivalence_accepts_and_rejects():
     # and one that cannot halt is never equivalent
     stuck = parse_program("loop:\n JMP loop\n HALT")
     assert not verify_equivalence(prog, stuck, plan, seed=3, max_steps=2000)
+
+
+def test_rewrite_that_leaves_two_writers_reopens_earlier_window():
+    # r1 has three writers until the LDW/NOT window after the loop becomes
+    # CIMNOT; only then is r1 an induction register for the loop window.
+    src = """
+        ADDI r1, r0, 0
+        ADDI r2, r0, 1024
+        ADDI r3, r0, 32
+        ADDI r8, r0, 9
+    loop:
+        LDW r5, 0(r1)
+        LDW r6, 0(r2)
+        ADD r7, r5, r6
+        ADDI r1, r1, 1
+        ADDI r2, r2, 1
+        ADDI r3, r3, -1
+        BNE r3, r0, loop
+        LDW r1, 0(r8)
+        NOT r7, r1
+        STW r7, 2000(r0)
+        HALT
+    """
+    prog = parse_program(src)
+    rep = transform(prog, PLAN)
+    assert [(r.index, r.kind, r.proof) for r in rep.rewrites] == [
+        (11, "CIMNOT", "liveness"),
+        (4, "CIMADD", "induction k=0..31"),
+    ]
+    assert verify_equivalence(prog, rep.program, PLAN, seed=1)
+    assert transform(rep.program, PLAN).rewrites == ()
+
+
+def _reference_transform(prog, plan):
+    """Restart-from-entry fixed point: after every rewrite the scan starts
+    again at 0, and every position recomputes the program's facts and its
+    straight-line constant state from scratch."""
+    current = Program(list(prog.instructions))
+    rewrites = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(current.instructions)):
+            labels, targets = xform._cfg_facts(current)
+            writers = Counter(
+                r for ins in current.instructions for r in xform._uses(ins)[1]
+            )
+            known = {0: 0}
+            for ins in current.instructions[:i]:
+                known = xform._fold(known, ins)
+            if any(t <= i for t in targets):
+                known = None
+            hit = xform._try_cim_window(
+                current, labels, targets, writers, plan, known, i
+            ) or xform._try_not_window(current, labels, i)
+            if hit is not None:
+                new_ins, width, note = hit
+                current.instructions[i : i + width] = [new_ins]
+                rewrites.append(note)
+                changed = True
+                break
+    return current, rewrites
+
+
+_ADDRS = (0, 1, 5, 16, 21, 1024, 1025, 1029, 2053)
+# Aligned pairs, then pairs in another word group or bank.
+_PAIRS = ((5, 21), (0, 1024), (1, 1025), (1024, SPARE_ALIAS), (5, 22), (0, 2048))
+_BASE = st.sampled_from((1, 2))  # straight-line pointers; loops mostly use r3, r4
+_TEMP = st.sampled_from((5, 6, 3, 4))  # loaded registers, sometimes a pointer
+_DEST = st.sampled_from((7, 10, 5, 1, 2))  # results, sometimes a pointer
+
+
+@st.composite
+def _programs(draw):
+    """Straight-line code, loops with induction pointers (ADDI or LUI
+    inits), forward branches, and LDW/LDW/op and LDW/NOT windows whose
+    operands may or may not be aligned, some with labels inside."""
+    n_labels = 0
+
+    def label():
+        nonlocal n_labels
+        n_labels += 1
+        return f"L{n_labels}"
+
+    def window(ra=None, rb=None, temp=_TEMP):
+        setup = []
+        if ra is None:
+            ra, rb = draw(st.permutations([1, 2]))
+            a, b = draw(st.sampled_from(_PAIRS))
+            setup = [f"ADDI r{ra}, r0, {a}", f"ADDI r{rb}, r0, {b}"]
+            setup = setup[: draw(st.sampled_from((2, 2, 1, 0)))]
+        rx = draw(temp)
+        ry, rz = draw(temp.filter(lambda r: r != rx)), draw(_DEST)
+        if draw(st.integers(0, 3)) == 0:
+            out = [f"LDW r{rx}, 0(r{ra})", f"NOT r{rz}, r{rx}"]
+        else:
+            op = draw(st.sampled_from(("ADD", "AND", "OR", "XOR")))
+            s1, s2 = draw(st.permutations([rx, ry]))
+            out = [f"LDW r{rx}, 0(r{ra})", f"LDW r{ry}, 0(r{rb})", f"{op} r{rz}, r{s1}, r{s2}"]
+        if draw(st.integers(0, 5)) == 0:
+            out.insert(draw(st.integers(1, len(out) - 1)), f"{label()}:")
+        return setup + out
+
+    def init(reg, value=None):
+        value = draw(st.sampled_from((0, 1, 1024, SPARE_ALIAS))) if value is None else value
+        if value % (1 << 16) == 0 and draw(st.booleans()):
+            return f"LUI r{reg}, {value >> 16}"
+        return f"ADDI r{reg}, r0, {value}"
+
+    def straight():
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            return [f"ADDI r{draw(_BASE)}, r0, {draw(st.sampled_from(_ADDRS))}"]
+        if kind == 1:
+            return [init(draw(_BASE))]
+        if kind == 2:
+            return [f"ADD r{draw(_DEST)}, r{draw(_BASE)}, r{draw(_TEMP)}"]
+        if kind == 3:
+            reg = draw(_BASE)
+            return [f"ADDI r{reg}, r{reg}, {draw(st.sampled_from((1, 16)))}"]
+        return [f"STW r{draw(_DEST)}, {draw(st.integers(100, 120))}(r0)"]
+
+    def loop():
+        ra, rb = draw(st.permutations([3, 4]))
+        if draw(st.integers(0, 3)) == 0:
+            ra = draw(st.integers(1, 4).filter(lambda r: r != rb))
+        rc = draw(st.integers(8, 9))
+        top = label()
+        body = window(ra, rb, st.sampled_from((5, 6)))
+        body.insert(draw(st.sampled_from((0, 0, 0, 1))), f"{top}:")
+        stride = draw(st.sampled_from((1, 1, 1, 16)))
+        steps = [f"ADDI r{ra}, r{ra}, {stride}", f"ADDI r{rb}, r{rb}, {stride}"]
+        if draw(st.integers(0, 5)) == 0:
+            steps[1] = f"ADDI r{rb}, r{rb}, {draw(st.sampled_from((2, -1)))}"
+        middle = sum((straight() for _ in range(draw(st.integers(0, 1)))), [])
+        # A pointer reloaded after the loop has a third writer until the
+        # reload itself is rewritten.
+        reload = []
+        if draw(st.integers(0, 2)) == 0:
+            reload = [f"LDW r{ra}, 0(r{draw(_BASE)})", f"NOT r{draw(_DEST)}, r{ra}"]
+        a, b = draw(st.sampled_from(_PAIRS))
+        return ([init(ra, a), init(rb, b), f"ADDI r{rc}, r0, 3"] + body + middle + steps
+                + [f"ADDI r{rc}, r{rc}, -1", f"BNE r{rc}, r0, {top}"] + reload)
+
+    def skip():
+        target = label()
+        return [f"BEQ r{draw(_BASE)}, r0, {target}"] + window() + [f"{target}:"]
+
+    pieces = (straight, straight, window, window, loop, skip)
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        lines += draw(st.sampled_from(pieces))()
+    return "\n".join(lines + ["HALT"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_programs())
+def test_scan_matches_restart_from_entry_reference(src):
+    prog = parse_program(src)
+    rep = transform(prog, PLAN)
+    ref_prog, ref_rewrites = _reference_transform(prog, PLAN)
+    assert format_program(rep.program) == format_program(ref_prog)
+    assert list(rep.rewrites) == ref_rewrites
+    assert rep.instructions_after == len(ref_prog)
