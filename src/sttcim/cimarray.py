@@ -36,6 +36,16 @@ adjacent decision level with a fixed probability, ``DeviceColumnSampler``
 resolves every column against freshly drawn varied cells using the bit-cell
 model.  Vector (multi-lane) ops model a digital vector unit and are
 noise-free.
+
+Sampler contract: sensed columns are int masks, column j at bit j, the
+same layout as a codeword.  ``sense_read(access, word, n)`` returns the
+read-reference decisions of a stored word's n columns; ``sense_pair(access,
+a, b, n)`` returns the (or-reference, and-reference) decision masks of two
+activated words.  The XOR lane is ``or & ~and``.  ADD ripples with the XOR
+lane X as propagate and the and-lane G as generate; X & G == 0 always, so
+with A = X | G the ripple computes A + G = X + 2G exactly, carry-out at bit
+word_width included.  Noisy samplers draw per access from the stream
+layout ``access * 2^20 + column`` and pack their decisions once.
 """
 
 from __future__ import annotations
@@ -187,14 +197,25 @@ class AccessCounters:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
+def _bit_array(word: int, n: int) -> np.ndarray:
+    """Columns 0..n-1 of a word as a 0/1 array."""
+    raw = np.frombuffer(word.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
+
+
+def _mask(decisions: np.ndarray) -> int:
+    """Per-column booleans back to an int mask, column j at bit j."""
+    return int.from_bytes(np.packbits(decisions, bitorder="little").tobytes(), "little")
+
+
 class IdealSampler:
     """Noise-free sensing; comparator outputs follow the stored bits."""
 
-    def sense_read(self, access: int, bits: np.ndarray) -> np.ndarray:
-        return bits.copy()
+    def sense_read(self, access: int, word: int, n: int) -> int:
+        return word
 
-    def sense_pair(self, access, a_bits, b_bits):
-        return a_bits | b_bits, a_bits & b_bits
+    def sense_pair(self, access: int, a: int, b: int, n: int) -> tuple[int, int]:
+        return a | b, a & b
 
 
 class InjectedColumnNoise:
@@ -218,20 +239,19 @@ class InjectedColumnNoise:
         ent = np.uint64(access) * np.uint64(SPARE_ALIAS) + np.arange(n, dtype=np.uint64)
         return uniforms(self.seed, ent)
 
-    def sense_read(self, access, bits):
-        u = self._draws(access, len(bits))
-        return np.where(u < self.p, 1 - bits, bits)
+    def sense_read(self, access, word, n):
+        return word ^ _mask(self._draws(access, n) < self.p)
 
-    def sense_pair(self, access, a_bits, b_bits):
-        o_or = a_bits | b_bits
-        o_and = a_bits & b_bits
-        u = self._draws(access, len(a_bits))
-        s = a_bits + b_bits
-        hit = u < self.p
-        o_or = np.where(hit & (s == 0), 1, o_or)
-        o_and = np.where(hit & (s == 2), 0, o_and)
-        o_or = np.where((u < 0.5 * self.p) & (s == 1), 0, o_or)
-        o_and = np.where(hit & (u >= 0.5 * self.p) & (s == 1), 1, o_and)
+    def sense_pair(self, access, a, b, n):
+        u = self._draws(access, n)
+        hit = _mask(u < self.p)
+        low = _mask(u < 0.5 * self.p)  # the middle state's or-side half of hit
+        either, both, one = a | b, a & b, a ^ b
+        # Hits on 00 raise the or-output, on 11 drop the and-output; on a
+        # middle column the low half drops the or-output, the rest raise
+        # the and-output.
+        o_or = (either | (hit & ~either)) & ~(low & one)
+        o_and = (both & ~hit) | (hit & ~low & one)
         return o_or, o_and
 
 
@@ -260,19 +280,19 @@ class DeviceColumnSampler:
     def _currents(self, factor, r_t, slot, r_nominal):
         return self.params.read_voltage / (r_t[:, slot] + r_nominal * factor[:, slot])
 
-    def sense_read(self, access, bits):
+    def sense_read(self, access, word, n):
         p = self.params
-        factor, r_t = self._cells(access, len(bits))
-        r_cell = np.where(bits == 1, p.r_p, p.r_ap) * factor[:, 0]
+        factor, r_t = self._cells(access, n)
+        r_cell = np.where(_bit_array(word, n) == 1, p.r_p, p.r_ap) * factor[:, 0]
         i_cell = p.read_voltage / (r_t[:, 0] + r_cell)
         i_ref = self._currents(factor, r_t, 2, p.r_ref)
-        return (i_cell > i_ref).astype(np.int64)
+        return _mask(i_cell > i_ref)
 
-    def sense_pair(self, access, a_bits, b_bits):
+    def sense_pair(self, access, a, b, n):
         p = self.params
-        factor, r_t = self._cells(access, len(a_bits))
-        r_a = np.where(a_bits == 1, p.r_p, p.r_ap) * factor[:, 0]
-        r_b = np.where(b_bits == 1, p.r_p, p.r_ap) * factor[:, 1]
+        factor, r_t = self._cells(access, n)
+        r_a = np.where(_bit_array(a, n) == 1, p.r_p, p.r_ap) * factor[:, 0]
+        r_b = np.where(_bit_array(b, n) == 1, p.r_p, p.r_ap) * factor[:, 1]
         i_sl = p.read_voltage / (r_t[:, 0] + r_a) + p.read_voltage / (r_t[:, 1] + r_b)
         i_ref_or = self._currents(factor, r_t, 2, p.r_ref) + self._currents(
             factor, r_t, 3, p.r_ap
@@ -280,7 +300,7 @@ class DeviceColumnSampler:
         i_ref_and = self._currents(factor, r_t, 5, p.r_ref) + self._currents(
             factor, r_t, 7, p.r_p
         )
-        return (i_sl > i_ref_or).astype(np.int64), (i_sl > i_ref_and).astype(np.int64)
+        return _mask(i_sl > i_ref_or), _mask(i_sl > i_ref_and)
 
 
 _TWO_ROW_OPS = (CimOp.AND, CimOp.OR, CimOp.NAND, CimOp.NOR, CimOp.XOR, CimOp.ADD)
@@ -296,57 +316,55 @@ class CimArray:
         self.code = make_code(self.config.code, self.config.word_width)
         self.sampler = sampler if sampler is not None else IdealSampler()
         self.counters = counters if counters is not None else AccessCounters()
-        self._row_bits = self.config.words_per_row * self.code.n
         self._banks = [[0] * self.config.rows_per_bank for _ in range(self.config.banks)]
         self._access = 0
+        self._n = self.code.n
+        self._word_mask = (1 << self._n) - 1
+        self._data_mask = (1 << self.config.word_width) - 1
+        # Geometry for the fast path of _resolve: linear addresses below
+        # the limit are data words.
+        self._words_per_row = self.config.words_per_row
+        self._data_rows = self.config.data_rows
+        self._linear_limit = min(self.config.total_words, SPARE_ALIAS)
 
     # -- addressing -----------------------------------------------------
+    # Resolved addresses are (bank, row, group) tuples.
 
-    def _resolve(self, addr, spare_ok: bool = False) -> Addr:
+    def _resolve(self, addr, spare_ok: bool = False) -> tuple[int, int, int]:
+        if type(addr) is int and 0 <= addr < self._linear_limit:
+            rows, group = divmod(addr, self._words_per_row)
+            bank, row = divmod(rows, self._data_rows)
+            return bank, row, group
         if isinstance(addr, Addr):
             if addr.bank >= self.config.banks or addr.group >= self.config.words_per_row:
                 raise ValueError(f"{addr} out of range")
             limit = self.config.rows_per_bank if spare_ok else self.config.data_rows
             if not 0 <= addr.row < limit:
                 raise ValueError(f"{addr} row out of range")
-            return addr
+            return addr.bank, addr.row, addr.group
         linear = int(addr)
         if linear >= SPARE_ALIAS:
             if not spare_ok:
                 raise ValueError("spare-row alias is only valid as a CiM operand")
             base = Addr.from_linear(self.config, linear - SPARE_ALIAS)
-            return Addr(base.bank, self.config.spare_row, base.group)
-        return Addr.from_linear(self.config, linear)
+            return base.bank, self.config.spare_row, base.group
+        a = Addr.from_linear(self.config, linear)
+        return a.bank, a.row, a.group
 
-    def _get_word(self, a: Addr) -> int:
-        row = self._banks[a.bank][a.row]
-        return (row >> (a.group * self.code.n)) & ((1 << self.code.n) - 1)
+    def _get_word(self, a: tuple[int, int, int]) -> int:
+        bank, row, group = a
+        return (self._banks[bank][row] >> (group * self._n)) & self._word_mask
 
-    def _set_word(self, a: Addr, codeword: int) -> None:
-        shift = a.group * self.code.n
-        mask = ((1 << self.code.n) - 1) << shift
-        row = self._banks[a.bank][a.row]
-        self._banks[a.bank][a.row] = (row & ~mask) | (codeword << shift)
-
-    def _column_base(self, a: Addr) -> int:
-        return a.group * self.code.n
-
-    def _bits(self, codeword: int) -> np.ndarray:
-        return np.array([(codeword >> j) & 1 for j in range(self.code.n)], dtype=np.int64)
-
-    @staticmethod
-    def _pack(bits: np.ndarray) -> int:
-        word = 0
-        for j, b in enumerate(bits):
-            if b:
-                word |= 1 << j
-        return word
+    def _set_word(self, a: tuple[int, int, int], codeword: int) -> None:
+        bank, row, group = a
+        shift = group * self._n
+        rows = self._banks[bank]
+        rows[row] = (rows[row] & ~(self._word_mask << shift)) | (codeword << shift)
 
     # -- scalar accesses -------------------------------------------------
 
     def write_word(self, addr, data: int) -> None:
-        a = self._resolve(addr)
-        self._set_word(a, self.code.encode(data))
+        self._set_word(self._resolve(addr), self.code.encode(data))
         self.counters.writes += 1
 
     def write_spare(self, bank: int, data: int) -> None:
@@ -370,8 +388,12 @@ class CimArray:
         cw = self.code.encode(data)
         row = 0
         for g in range(self.config.words_per_row):
-            row |= cw << (g * self.code.n)
+            row |= cw << (g * self._n)
         return row
+
+    def _sense_read(self, a: tuple[int, int, int]) -> int:
+        self._access += 1
+        return self.sampler.sense_read(self._access, self._get_word(a), self._n)
 
     def _decode_read(self, sensed: int):
         res = self.code.decode(sensed)
@@ -382,75 +404,26 @@ class CimArray:
         return res.data
 
     def read_word(self, addr, count: bool = True) -> int:
-        a = self._resolve(addr)
-        stored = self._get_word(a)
-        self._access += 1
-        bits = self.sampler.sense_read(self._access, self._bits(stored))
+        sensed = self._sense_read(self._resolve(addr))
         if count:
             self.counters.reads += 1
-        return self._decode_read(self._pack(bits))
+        return self._decode_read(sensed)
 
-    def _nm_read(self, a: Addr) -> int:
+    def _nm_read(self, a: tuple[int, int, int]) -> int:
         """Near-memory fallback read; separate traffic category."""
-        stored = self._get_word(a)
-        self._access += 1
-        bits = self.sampler.sense_read(self._access, self._bits(stored))
+        sensed = self._sense_read(a)
         self.counters.nm_reads += 1
-        return self._decode_read(self._pack(bits))
+        return self._decode_read(sensed)
 
     def cim_not(self, addr) -> tuple[int, int]:
         """Single-row inverted read.  No XOR sideband exists for one
         operand, so sensing errors here are invisible to the controller."""
-        a = self._resolve(addr, spare_ok=True)
-        stored = self._get_word(a)
-        self._access += 1
-        bits = self.sampler.sense_read(self._access, self._bits(stored))
+        sensed = self._sense_read(self._resolve(addr, spare_ok=True))
         self.counters.cim_ops += 1
-        inv = 1 - bits
-        data = 0
-        for j, pos in enumerate(self.code.data_positions):
-            if inv[pos]:
-                data |= 1 << j
-        return data, 1
-
-    def _ripple_add(self, o_xor: np.ndarray, o_and: np.ndarray) -> int:
-        """Per-column ripple over the data positions, carry-in zero.  The
-        final carry-out lands at bit word_width, so the result is the full
-        integer sum of the operands."""
-        result = 0
-        carry = 0
-        for j, pos in enumerate(self.code.data_positions):
-            x = int(o_xor[pos])
-            g = int(o_and[pos])
-            s = x ^ carry
-            carry = g | (x & carry)
-            if s:
-                result |= 1 << j
-        if carry:
-            result |= 1 << self.config.word_width
-        return result
-
-    def _op_output(self, op: CimOp, o_or, o_and, o_xor) -> int:
-        if op is CimOp.ADD:
-            return self._ripple_add(o_xor, o_and)
-        if op is CimOp.AND:
-            lane = o_and
-        elif op is CimOp.OR:
-            lane = o_or
-        elif op is CimOp.NAND:
-            lane = 1 - o_and
-        elif op is CimOp.NOR:
-            lane = 1 - o_or
-        else:
-            lane = o_xor
-        data = 0
-        for j, pos in enumerate(self.code.data_positions):
-            if lane[pos]:
-                data |= 1 << j
-        return data
+        return self.code.extract(sensed) ^ self._data_mask, 1
 
     def _alu(self, op: CimOp, a: int, b: int) -> int:
-        mask = (1 << self.config.word_width) - 1
+        mask = self._data_mask
         if op is CimOp.AND:
             return a & b
         if op is CimOp.OR:
@@ -469,26 +442,22 @@ class CimArray:
         """Two-row in-array op.  Returns (result data, array accesses)."""
         if op not in _TWO_ROW_OPS:
             raise ValueError(f"{op!r} is not a two-row op")
-        a = self._resolve(addr_a, spare_ok=True)
-        b = self._resolve(addr_b, spare_ok=True)
-        if a.bank != b.bank:
+        bank, row, group = a = self._resolve(addr_a, spare_ok=True)
+        bank_b, row_b, group_b = b = self._resolve(addr_b, spare_ok=True)
+        if bank != bank_b:
             raise ValueError("CiM operands must share a bank")
-        if a.group != b.group:
+        if group != group_b:
             raise ValueError("CiM operands must be column-aligned")
-        if a.row == b.row:
+        if row == row_b:
             raise ValueError("CiM operands must be distinct rows")
-        cw_a = self._get_word(a)
-        cw_b = self._get_word(b)
         self._access += 1
         self.counters.cim_ops += 1
         o_or, o_and = self.sampler.sense_pair(
-            self._access, self._bits(cw_a), self._bits(cw_b)
+            self._access, self._get_word(a), self._get_word(b), self._n
         )
-        o_xor = o_or & (1 - o_and)
-        xor_word = self._pack(o_xor)
-        res = self.code.decode(xor_word)
+        res = self.code.decode(o_or & ~o_and)
         if res.status is DecodeStatus.CLEAN:
-            return self._op_output(op, o_or, o_and, o_xor), 1
+            return self._op_output(op, o_or, o_and, res.data), 1
         if res.status is DecodeStatus.CORRECTED:
             self.counters.corrected_words += 1
             if op is CimOp.XOR:
@@ -499,6 +468,21 @@ class CimArray:
             db = self._nm_read(b)
             return self._alu(op, da, db), 3
         raise HardError("uncorrectable XOR lane on CiM access")
+
+    def _op_output(self, op: CimOp, o_or: int, o_and: int, xor_data: int) -> int:
+        """The requested output from a clean access's comparator masks;
+        xor_data is the data of the XOR lane (ADD: see the module notes)."""
+        if op is CimOp.XOR:
+            return xor_data
+        if op is CimOp.ADD:
+            return xor_data + 2 * self.code.extract(o_and)
+        if op is CimOp.AND:
+            return self.code.extract(o_and)
+        if op is CimOp.OR:
+            return self.code.extract(o_or)
+        if op is CimOp.NAND:
+            return self.code.extract(o_and) ^ self._data_mask
+        return self.code.extract(o_or) ^ self._data_mask  # NOR
 
     # -- vector accesses ---------------------------------------------------
 
@@ -516,24 +500,24 @@ class CimArray:
             raise ValueError("reduce must be sum or zcmp")
         if op not in _TWO_ROW_OPS:
             raise ValueError(f"{op!r} is not a two-row op")
-        a0 = self._resolve(addr_a, spare_ok=True)
-        b0 = self._resolve(addr_b, spare_ok=True)
-        if a0.bank != b0.bank or a0.group != b0.group or a0.row == b0.row:
+        bank, row_a, group = self._resolve(addr_a, spare_ok=True)
+        bank_b, row_b, group_b = self._resolve(addr_b, spare_ok=True)
+        if bank != bank_b or group != group_b or row_a == row_b:
             raise ValueError("vector operands must be aligned rows of one bank")
-        if a0.group + lanes > self.config.words_per_row:
+        if group + lanes > self.config.words_per_row:
             raise ValueError("vector access crosses a row boundary")
         self.counters.vcim_ops += 1
         self.counters.vcim_lanes += lanes
-        mask = (1 << self.config.word_width) - 1
+        n, word_mask, extract = self._n, self._word_mask, self.code.extract
+        words_a = self._banks[bank][row_a] >> (group * n)
+        words_b = self._banks[bank][row_b] >> (group * n)
         acc = 0
         for k in range(lanes):
-            a = Addr(a0.bank, a0.row, a0.group + k)
-            b = Addr(b0.bank, b0.row, b0.group + k)
-            da = self.code.extract(self._get_word(a))
-            db = self.code.extract(self._get_word(b))
-            lane = self._alu(op, da, db)
+            lane = self._alu(op, extract(words_a & word_mask), extract(words_b & word_mask))
+            words_a >>= n
+            words_b >>= n
             if reduce == "sum":
-                acc = (acc + lane) & mask
+                acc = (acc + lane) & self._data_mask
             else:
                 acc |= (1 if lane != 0 else 0) << k
         return acc

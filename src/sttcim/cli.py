@@ -34,28 +34,49 @@ from .device import (
     monte_carlo_failures,
 )
 from .ecc import DecodeStatus, make_code
-from .mapper import plan_type1, plan_type2, plan_type3
+from .mapper import PlanError, plan_type1, plan_type2, plan_type3
 from .xform import transform
 
 __all__ = ["main"]
 
 
-def _positive_int(text: str) -> int:
+def _int_option(low: int, kind: str):
+    """argparse type for integers >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_option(1, "positive")
+_non_negative_int = _int_option(0, "non-negative")
+
+
+def _non_negative_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
         value = None
-    if value is None or value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value is None or not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
     return value
 
 
-def _int_list(text: str) -> list[int]:
+def _latency_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",")]
+        values = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+    if min(values) < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected non-negative latencies, got {text!r}")
+    return values
 
 
 def _write_out(args, text: str) -> None:
@@ -81,7 +102,11 @@ def _corrupt(word: int, n: int, weight: int, rng: random.Random) -> tuple[int, t
 
 
 def _cmd_ecc_prove(args) -> int:
-    code = make_code(args.code, args.data_bits)
+    try:
+        code = make_code(args.code, args.data_bits)
+    except ValueError as exc:
+        print(f"ecc prove failed: {exc}", file=sys.stderr)
+        return 2
     t = 3 if args.code == "ec3ed4" else 1
     rng = random.Random(args.seed)
     failures = 0
@@ -130,7 +155,12 @@ def _make_plan(args):
 
 
 def _cmd_map_plan(args) -> int:
-    _write_out(args, _make_plan(args).text())
+    try:
+        plan = _make_plan(args)
+    except PlanError as exc:
+        print(f"map plan failed: {exc}", file=sys.stderr)
+        return 2
+    _write_out(args, plan.text())
     return 0
 
 
@@ -144,7 +174,12 @@ def _cmd_xform(args) -> int:
     except (UnicodeDecodeError, AsmError) as exc:
         print(f"xform failed: {args.asm}: {exc}", file=sys.stderr)
         return 2
-    report = transform(prog, _make_plan(args))
+    try:
+        plan = _make_plan(args)
+    except PlanError as exc:
+        print(f"xform failed: {exc}", file=sys.stderr)
+        return 2
+    report = transform(prog, plan)
     for rw in report.rewrites:
         print(f"# rewrite @{rw.index}: {rw.kind} ({rw.proof})")
     print(f"# instructions {report.instructions_before} -> {report.instructions_after}")
@@ -161,7 +196,7 @@ def _cmd_bench_run(args) -> int:
             for mode in modes:
                 run = run_kernel(kernel, mode, args.n, args.latency, args.seed)
                 lines.append(format_run(run))
-    except BenchError as exc:
+    except (BenchError, PlanError) as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
         return 1
     _write_out(args, "\n".join(lines) + "\n")
@@ -171,7 +206,7 @@ def _cmd_bench_run(args) -> int:
 def _cmd_bench_sweep(args) -> int:
     try:
         points = latency_sweep(args.kernel, args.mode, args.latencies, args.n, args.seed)
-    except BenchError as exc:
+    except (BenchError, PlanError) as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
         return 1
     text = "latency,speedup\n" + "".join(f"{lat},{s:.6f}\n" for lat, s in points)
@@ -189,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mc = device.add_parser("mc", help="Monte Carlo decision failures")
     mc.add_argument("--samples", type=_positive_int, default=100_000)
     mc.add_argument("--seed", type=int, default=12345)
-    mc.add_argument("--scale", type=float, default=1.0, help="variation scale factor")
+    mc.add_argument("--scale", type=_non_negative_float, default=1.0,
+                    help="variation scale factor")
     mc.add_argument("--config", help="key=value device parameter file")
     mc.add_argument("--out", help="also write the CSV here")
     mc.set_defaults(func=_cmd_device_mc)
@@ -199,8 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     prove = ecc.add_parser("prove", help="exercise correction/detection guarantees")
     prove.add_argument("--code", choices=("secded", "ec3ed4"), default="ec3ed4")
-    prove.add_argument("--data-bits", type=int, default=32)
-    prove.add_argument("--trials", type=int, default=2000)
+    prove.add_argument("--data-bits", type=_positive_int, default=32)
+    prove.add_argument("--trials", type=_positive_int, default=2000)
     prove.add_argument("--seed", type=int, default=1)
     prove.add_argument("--out")
     prove.set_defaults(func=_cmd_ecc_prove)
@@ -210,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     selftest = array.add_parser("selftest", help="random ops against a shadow model")
     selftest.add_argument("--code", choices=("secded", "ec3ed4"), default="ec3ed4")
-    selftest.add_argument("--words", type=int, default=128)
+    selftest.add_argument("--words", type=_positive_int, default=128)
     selftest.add_argument("--seed", type=int, default=0)
     selftest.add_argument("--out")
     selftest.set_defaults(func=_cmd_array_selftest)
@@ -220,16 +256,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     plan = mapp.add_parser("plan", help="print a placement plan")
     plan.add_argument("--pattern", choices=("type1", "type2", "type3"), required=True)
-    plan.add_argument("--n", type=int, required=True)
-    plan.add_argument("--m", type=int, default=2, help="pattern words (type3)")
+    plan.add_argument("--n", type=_positive_int, required=True)
+    plan.add_argument("--m", type=_positive_int, default=2, help="pattern words (type3)")
     plan.add_argument("--out")
     plan.set_defaults(func=_cmd_map_plan)
 
     xf = sub.add_parser("xform", help="rewrite assembly against a plan")
     xf.add_argument("asm", help="assembly source file")
     xf.add_argument("--pattern", choices=("type1", "type2", "type3"), default="type1")
-    xf.add_argument("--n", type=int, required=True)
-    xf.add_argument("--m", type=int, default=2)
+    xf.add_argument("--n", type=_positive_int, required=True)
+    xf.add_argument("--m", type=_positive_int, default=2)
     xf.add_argument("--out", help="write the rewritten program here")
     xf.set_defaults(func=_cmd_xform)
 
@@ -239,16 +275,16 @@ def _build_parser() -> argparse.ArgumentParser:
     run = bench.add_parser("run", help="run kernels and report")
     run.add_argument("--kernel", choices=tuple(KERNEL_MODES))
     run.add_argument("--mode")
-    run.add_argument("--n", type=int, default=None)
-    run.add_argument("--latency", type=int, default=1)
+    run.add_argument("--n", type=_positive_int, default=None)
+    run.add_argument("--latency", type=_non_negative_int, default=1)
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--out")
     run.set_defaults(func=_cmd_bench_run)
     sweep = bench.add_parser("sweep", help="speedup across memory latencies")
     sweep.add_argument("--kernel", choices=tuple(KERNEL_MODES), default="vecsum")
     sweep.add_argument("--mode", default="cim")
-    sweep.add_argument("--latencies", type=_int_list, default="1,2,4,8,16")
-    sweep.add_argument("--n", type=int, default=None)
+    sweep.add_argument("--latencies", type=_latency_list, default="1,2,4,8,16")
+    sweep.add_argument("--n", type=_positive_int, default=None)
     sweep.add_argument("--seed", type=int, default=7)
     sweep.add_argument("--out")
     sweep.set_defaults(func=_cmd_bench_sweep)

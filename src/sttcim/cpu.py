@@ -25,10 +25,16 @@ near-memory path costs three accesses; everything else costs one.
 Each memory instruction emits one ``BusTransaction``.  The bus has a
 single secondary channel shared by the second operand address and the
 write data, so no transaction may carry both; the constructor enforces it.
+
+A ``Cpu`` decodes its program once, at construction, into one handler per
+instruction: mnemonics are dispatched, branch labels resolved to indices
+(an unknown label is an ``AsmError`` there) and ``VCIM.*`` mnemonics split
+before the first step.  Stepping then costs one call per instruction.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -279,8 +285,191 @@ def _format_one(ins: Instruction) -> str:
     raise AsmError(f"cannot format {ins.op!r}")
 
 
+# -- decoded execution ------------------------------------------------------
+# A decoded instruction is (handler, operands, line).  A handler takes (cpu,
+# pc, operands) and returns (next pc, array accesses).  Handlers are module
+# functions, so a decoded program holds no reference to the Cpu that runs
+# it and a finished Cpu is freed without waiting for the cycle collector.
+
+_ALU_FNS = {
+    "ADD": operator.add,
+    "SUB": operator.sub,
+    "AND": operator.and_,
+    "OR": operator.or_,
+    "XOR": operator.xor,
+}
+
+
+def _nop(cpu, pc, x):
+    return pc + 1, 0
+
+
+def _halt(cpu, pc, x):
+    cpu.halted = True
+    return pc + 1, 0
+
+
+def _alu(cpu, pc, x):
+    fn, d, a, b = x
+    regs = cpu.regs
+    regs[d] = fn(regs[a], regs[b]) & cpu._mask
+    return pc + 1, 0
+
+
+def _slt(cpu, pc, x):
+    d, a, b = x
+    regs, sign = cpu.regs, cpu._sign
+    # Flipping the sign bit maps two's-complement order onto unsigned order.
+    regs[d] = 1 if regs[a] ^ sign < regs[b] ^ sign else 0
+    return pc + 1, 0
+
+
+def _not(cpu, pc, x):
+    d, a = x
+    cpu.regs[d] = ~cpu.regs[a] & cpu._mask
+    return pc + 1, 0
+
+
+def _addi(cpu, pc, x):
+    d, a, imm = x
+    cpu.regs[d] = (cpu.regs[a] + imm) & cpu._mask
+    return pc + 1, 0
+
+
+def _lui(cpu, pc, x):
+    d, imm = x
+    cpu.regs[d] = (imm << 16) & cpu._mask
+    return pc + 1, 0
+
+
+def _ldw(cpu, pc, x):
+    d, imm, base = x
+    addr = (cpu.regs[base] + imm) & cpu._mask
+    value = cpu.array.read_word(addr)
+    if cpu.bus is not None:
+        cpu.bus.append(BusTransaction(addr_a=addr))
+    if d:
+        cpu.regs[d] = value & cpu._mask
+    return pc + 1, 1
+
+
+def _stw(cpu, pc, x):
+    s, imm, base = x
+    addr = (cpu.regs[base] + imm) & cpu._mask
+    value = cpu.regs[s]
+    cpu.array.write_word(addr, value)
+    if cpu.bus is not None:
+        cpu.bus.append(BusTransaction(addr_a=addr, write_data=value))
+    return pc + 1, 1
+
+
+def _cim(cpu, pc, x):
+    op, d, a, b = x
+    addr_a, addr_b = cpu.regs[a], cpu.regs[b]
+    value, accesses = cpu.array.cim_word(op, addr_a, addr_b)
+    if cpu.bus is not None:
+        cpu.bus.append(BusTransaction(addr_a=addr_a, addr_b=addr_b, cim_type=op))
+    if d:
+        cpu.regs[d] = value & cpu._mask
+    return pc + 1, accesses
+
+
+def _cimnot(cpu, pc, x):
+    d, a = x
+    addr = cpu.regs[a]
+    value, accesses = cpu.array.cim_not(addr)
+    if cpu.bus is not None:
+        cpu.bus.append(BusTransaction(addr_a=addr, cim_type=CimOp.NOT))
+    if d:
+        cpu.regs[d] = value & cpu._mask
+    return pc + 1, accesses
+
+
+def _vcim(cpu, pc, x):
+    op, lanes, reduce, d, a, b = x
+    addr_a, addr_b = cpu.regs[a], cpu.regs[b]
+    value = cpu.array.vcim(op, addr_a, addr_b, lanes, reduce)
+    if cpu.bus is not None:
+        cpu.bus.append(BusTransaction(addr_a=addr_a, addr_b=addr_b, cim_type=op,
+                                      vector_meta=(lanes, reduce)))
+    if d:
+        cpu.regs[d] = value & cpu._mask
+    return pc + 1, 1
+
+
+def _spwr(cpu, pc, x):
+    v, mask, line = x
+    banks = cpu.array.config.banks
+    if mask is None:
+        mask = (1 << banks) - 1
+    if mask <= 0 or mask >> banks:
+        raise CpuFault(f"line {line}: bad bank mask {mask:#x}")
+    value = cpu.regs[v]
+    for bank in range(banks):
+        if mask >> bank & 1:
+            cpu.array.write_spare(bank, value)
+    if cpu.bus is not None:
+        cpu.bus.append(BusTransaction(addr_a=0, write_data=value, spare=True))
+    return pc + 1, 1
+
+
+def _beq(cpu, pc, x):
+    a, b, target = x
+    return (target if cpu.regs[a] == cpu.regs[b] else pc + 1), 0
+
+
+def _bne(cpu, pc, x):
+    a, b, target = x
+    return (target if cpu.regs[a] != cpu.regs[b] else pc + 1), 0
+
+
+def _jmp(cpu, pc, x):
+    return x, 0
+
+
+def _unknown(cpu, pc, x):
+    op, line = x
+    raise CpuFault(f"line {line}: unknown op {op!r}")
+
+
+def _target(labels: dict[str, int], name: str, line: int) -> int:
+    if name not in labels:
+        raise AsmError(f"line {line}: unknown label {name!r}")
+    return labels[name]
+
+
+_PLAIN = {"HALT": _halt, "SLT": _slt, "NOT": _not, "ADDI": _addi, "LUI": _lui,
+          "LDW": _ldw, "STW": _stw, "CIMNOT": _cimnot}
+# Ops whose only effect is a register write.
+_PURE = frozenset(("SLT", "NOT", "ADDI", "LUI", *_ALU_FNS))
+
+
+def _decode_one(ins: Instruction, labels: dict[str, int]):
+    op, a = ins.op, ins.args
+    if op in _PURE and a[0] == 0:  # r0 reads as zero: the write is dropped, the cycle stays
+        return _nop, ()
+    if op in _PLAIN:
+        return _PLAIN[op], a
+    if op in _ALU_FNS:
+        return _alu, (_ALU_FNS[op],) + a
+    if op in _CIM_OPS:
+        return _cim, (_CIM_OPS[op],) + a
+    if op == "SPWR":
+        return _spwr, a + (ins.line,)
+    if op in ("BEQ", "BNE"):
+        return (_beq if op == "BEQ" else _bne), (a[0], a[1], _target(labels, a[2], ins.line))
+    if op == "JMP":
+        return _jmp, _target(labels, a[0], ins.line)
+    parts = op.split(".")
+    if (len(parts) == 4 and parts[0] == "VCIM" and parts[1] in _VCIM_OPS
+            and parts[2] in _VCIM_REDUCES and parts[3] in ("4", "8")):
+        return _vcim, (_VCIM_OPS[parts[1]], int(parts[3]), _VCIM_REDUCES[parts[2]]) + a
+    return _unknown, (op, ins.line)
+
+
 class Cpu:
-    """Executes a Program against a CimArray with cycle accounting."""
+    """Executes a Program against a CimArray with cycle accounting.  The
+    program is decoded once, at construction."""
 
     def __init__(self, array: CimArray, program: Program,
                  memory_latency: int = 1, trace_bus: bool = False):
@@ -289,6 +478,8 @@ class Cpu:
         self.array = array
         self.program = program
         self.labels = program.label_map()
+        self._code = [_decode_one(ins, self.labels) + (ins.line,)
+                      for ins in program.instructions]
         self.memory_latency = memory_latency
         self.regs = [0] * NUM_REGS
         self.pc = 0
@@ -299,115 +490,31 @@ class Cpu:
         self._mask = (1 << array.config.word_width) - 1
         self._sign = 1 << (array.config.word_width - 1)
 
-    def _write_reg(self, idx: int, value: int) -> None:
-        if idx != 0:
-            self.regs[idx] = value & self._mask
-
-    def _signed(self, value: int) -> int:
-        return value - (1 << self.array.config.word_width) if value & self._sign else value
-
-    def _emit(self, txn: BusTransaction) -> None:
-        if self.bus is not None:
-            self.bus.append(txn)
-
     def step(self) -> None:
         if self.halted:
             raise CpuFault("stepping a halted CPU")
-        if not 0 <= self.pc < len(self.program.instructions):
-            raise CpuFault(f"pc {self.pc} outside the program")
-        ins = self.program.instructions[self.pc]
-        a = ins.args
-        next_pc = self.pc + 1
-        accesses = 0
-        op = ins.op
-        try:
-            if op == "HALT":
-                self.halted = True
-            elif op == "ADD":
-                self._write_reg(a[0], self.regs[a[1]] + self.regs[a[2]])
-            elif op == "SUB":
-                self._write_reg(a[0], self.regs[a[1]] - self.regs[a[2]])
-            elif op == "AND":
-                self._write_reg(a[0], self.regs[a[1]] & self.regs[a[2]])
-            elif op == "OR":
-                self._write_reg(a[0], self.regs[a[1]] | self.regs[a[2]])
-            elif op == "XOR":
-                self._write_reg(a[0], self.regs[a[1]] ^ self.regs[a[2]])
-            elif op == "SLT":
-                self._write_reg(
-                    a[0], 1 if self._signed(self.regs[a[1]]) < self._signed(self.regs[a[2]]) else 0
-                )
-            elif op == "NOT":
-                self._write_reg(a[0], ~self.regs[a[1]])
-            elif op == "ADDI":
-                self._write_reg(a[0], self.regs[a[1]] + a[2])
-            elif op == "LUI":
-                self._write_reg(a[0], a[1] << 16)
-            elif op == "LDW":
-                addr = (self.regs[a[2]] + a[1]) & self._mask
-                value = self.array.read_word(addr)
-                self._emit(BusTransaction(addr_a=addr))
-                self._write_reg(a[0], value)
-                accesses = 1
-            elif op == "STW":
-                addr = (self.regs[a[2]] + a[1]) & self._mask
-                self.array.write_word(addr, self.regs[a[0]])
-                self._emit(BusTransaction(addr_a=addr, write_data=self.regs[a[0]]))
-                accesses = 1
-            elif op in _CIM_OPS:
-                addr_a, addr_b = self.regs[a[1]], self.regs[a[2]]
-                value, accesses = self.array.cim_word(_CIM_OPS[op], addr_a, addr_b)
-                self._emit(BusTransaction(addr_a=addr_a, addr_b=addr_b, cim_type=_CIM_OPS[op]))
-                self._write_reg(a[0], value)
-            elif op == "CIMNOT":
-                addr = self.regs[a[1]]
-                value, accesses = self.array.cim_not(addr)
-                self._emit(BusTransaction(addr_a=addr, cim_type=CimOp.NOT))
-                self._write_reg(a[0], value)
-            elif op.startswith("VCIM."):
-                _, opname, red, lanes_s = op.split(".")
-                lanes = int(lanes_s)
-                addr_a, addr_b = self.regs[a[1]], self.regs[a[2]]
-                value = self.array.vcim(
-                    _VCIM_OPS[opname], addr_a, addr_b, lanes, _VCIM_REDUCES[red]
-                )
-                self._emit(
-                    BusTransaction(
-                        addr_a=addr_a, addr_b=addr_b, cim_type=_VCIM_OPS[opname],
-                        vector_meta=(lanes, _VCIM_REDUCES[red]),
-                    )
-                )
-                self._write_reg(a[0], value)
-                accesses = 1
-            elif op == "SPWR":
-                mask = a[1] if a[1] is not None else (1 << self.array.config.banks) - 1
-                if mask <= 0 or mask >> self.array.config.banks:
-                    raise CpuFault(f"line {ins.line}: bad bank mask {mask:#x}")
-                value = self.regs[a[0]]
-                for bank in range(self.array.config.banks):
-                    if mask >> bank & 1:
-                        self.array.write_spare(bank, value)
-                self._emit(BusTransaction(addr_a=0, write_data=value, spare=True))
-                accesses = 1
-            elif op == "BEQ":
-                if self.regs[a[0]] == self.regs[a[1]]:
-                    next_pc = self.labels[a[2]]
-            elif op == "BNE":
-                if self.regs[a[0]] != self.regs[a[1]]:
-                    next_pc = self.labels[a[2]]
-            elif op == "JMP":
-                next_pc = self.labels[a[0]]
-            else:
-                raise CpuFault(f"line {ins.line}: unknown op {op!r}")
-        except ValueError as exc:
-            raise CpuFault(f"line {ins.line}: {exc}") from exc
-        self.cycles += 1 + self.memory_latency * accesses
-        self.executed += 1
-        self.pc = next_pc
+        self._execute(self.executed + 1)
 
     def run(self, max_steps: int = 10_000_000) -> RunResult:
-        while not self.halted:
-            if self.executed >= max_steps:
-                raise CpuFault(f"exceeded {max_steps} steps without HALT")
-            self.step()
+        self._execute(max_steps)
+        if not self.halted:
+            raise CpuFault(f"exceeded {max_steps} steps without HALT")
         return RunResult(cycles=self.cycles, instructions=self.executed, halted=True)
+
+    def _execute(self, limit: int) -> None:
+        """Step until HALT or until `limit` instructions have executed."""
+        code, latency = self._code, self.memory_latency
+        pc, cycles, executed = self.pc, self.cycles, self.executed
+        try:
+            while not self.halted and executed < limit:
+                if not 0 <= pc < len(code):
+                    raise CpuFault(f"pc {pc} outside the program")
+                handler, operands, line = code[pc]
+                try:
+                    pc, accesses = handler(self, pc, operands)
+                except ValueError as exc:
+                    raise CpuFault(f"line {line}: {exc}") from exc
+                cycles += 1 + latency * accesses
+                executed += 1
+        finally:
+            self.pc, self.cycles, self.executed = pc, cycles, executed

@@ -18,12 +18,27 @@ instead of on each operand.
 Codeword convention: Python ints, bit i of the int is codeword bit i.
 Layout is [data | checks | parity] for ``Ec3Ed4``; ``Secded`` interleaves
 checks at power-of-two Hamming positions with the parity bit last.
+
+Both codes share one table-driven decoder (syndrome decoding, Lin &
+Costello, *Error Control Coding*, ch. 3).  Every codeword bit has a column
+syndrome: for ``Ec3Ed4`` the remainder of its polynomial term modulo the
+generator, for ``Secded`` its Hamming index, each with the overall-parity
+flag one bit above.  The syndrome of a word is the XOR of the columns of
+its set bits, computed as per-byte table lookups, and is zero exactly on
+codewords.  A nonzero syndrome is looked up among single columns, then
+(for t = 3) among pairs of columns, then as a pair plus one column; a miss
+everywhere means the word is uncorrectable.  With distance 8 (resp. 4)
+every error pattern of weight <= t has its own syndrome, so a hit names the
+unique codeword within distance t and a miss means there is none: this is
+the bounded-distance decoder.  The pair table is built on the first
+nonzero syndrome; clean decodes never pay for it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from itertools import combinations
+from typing import NamedTuple
 
 __all__ = [
     "DecodeStatus",
@@ -40,13 +55,13 @@ class DecodeStatus(enum.Enum):
     DETECTED_UNCORRECTABLE = "detected_uncorrectable"
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     """Outcome of one decode.
 
     data and codeword are the corrected values, or None when the decoder
     refuses.  error_positions lists the codeword bit indices the decoder
-    flipped, in increasing order.
+    flipped, in increasing order.  A named tuple: one is built per decode,
+    at a fraction of a frozen dataclass's construction cost.
     """
 
     status: DecodeStatus
@@ -63,7 +78,88 @@ def _parity(x: int) -> int:
     return bin(x).count("1") & 1
 
 
-class Secded:
+def _byte_tables(columns) -> tuple[list[int], ...]:
+    """Per-byte XOR tables: tables[k][v] is the XOR of columns[8k + i] over
+    the set bits i of v, so a linear map of x is the XOR of one lookup per
+    byte of x."""
+    tables = []
+    for k in range(0, len(columns), 8):
+        chunk = columns[k:k + 8]
+        table = [0] * (1 << len(chunk))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] ^ chunk[low.bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _lookup(tables, x: int) -> int:
+    acc = 0
+    for table in tables:
+        acc ^= table[x & 0xFF]
+        x >>= 8
+    return acc
+
+
+class _SyndromeCode:
+    """Table-driven encode and bounded-distance decode of a systematic
+    linear code, given each data bit's codeword and each codeword bit's
+    column syndrome."""
+
+    _T = 1
+
+    def _build_tables(self, data_codewords, columns) -> None:
+        self._encode_tables = _byte_tables(data_codewords)
+        self._syndrome_tables = _byte_tables(columns)
+        self._columns = columns
+        self._singles = {c: (i,) for i, c in enumerate(columns)}
+        self._pairs = None
+
+    def encode(self, data: int) -> int:
+        if data < 0 or data >> self.data_bits:
+            raise ValueError("data out of range")
+        return _lookup(self._encode_tables, data)
+
+    def decode(self, word: int) -> DecodeResult:
+        if word < 0 or word >> self.n:
+            raise ValueError("word out of range")
+        syndrome = _lookup(self._syndrome_tables, word)
+        if not syndrome:
+            return DecodeResult(DecodeStatus.CLEAN, self.extract(word), word)
+        positions = self._error_positions(syndrome)
+        if positions is None:
+            return DecodeResult(DecodeStatus.DETECTED_UNCORRECTABLE, None, None)
+        fixed = word
+        for p in positions:
+            fixed ^= 1 << p
+        return DecodeResult(DecodeStatus.CORRECTED, self.extract(fixed), fixed, positions)
+
+    def _error_positions(self, syndrome: int) -> tuple[int, ...] | None:
+        """Sorted positions of the unique pattern of weight <= t with this
+        syndrome, or None."""
+        hit = self._singles.get(syndrome)
+        if hit is not None or self._T < 2:
+            return hit
+        pairs = self._pairs
+        if pairs is None:
+            cols = self._columns
+            pairs = self._pairs = {
+                cols[i] ^ cols[j]: (i, j) for i, j in combinations(range(self.n), 2)
+            }
+        hit = pairs.get(syndrome)
+        if hit is not None or self._T < 3:
+            return hit
+        # A weight-3 pattern is one column plus a pair; singles were checked
+        # first, so the pair found never contains that column.  The scan
+        # meets the pattern's lowest position first: the result is sorted.
+        for i, col in enumerate(self._columns):
+            pair = pairs.get(syndrome ^ col)
+            if pair is not None:
+                return (i,) + pair
+        return None
+
+
+class Secded(_SyndromeCode):
     """Extended Hamming code: single-error correct, double-error detect."""
 
     def __init__(self, data_bits: int):
@@ -75,75 +171,35 @@ class Secded:
         self.data_bits = data_bits
         self.check_bits = r
         # Hamming positions 1..m hold data and checks; one parity bit after.
-        self._m = data_bits + r
-        self.n = self._m + 1
-        self.parity_position = self.n - 1
+        m = data_bits + r
+        self.n = m + 1
+        self.parity_position = m
         self.data_positions: tuple[int, ...] = tuple(
-            p - 1 for p in range(1, self._m + 1) if p & (p - 1)
+            p - 1 for p in range(1, m + 1) if p & (p - 1)
         )
         self.check_positions: tuple[int, ...] = tuple((1 << i) - 1 for i in range(r))
-        # For check i, the data-position mask it covers (codeword bit mask).
-        self._check_masks = []
-        for i in range(r):
-            mask = 0
-            for pos0 in self.data_positions:
-                if (pos0 + 1) >> i & 1:
-                    mask |= 1 << pos0
-            self._check_masks.append(mask)
-
-    def encode(self, data: int) -> int:
-        if data < 0 or data >> self.data_bits:
-            raise ValueError("data out of range")
-        word = 0
-        for j, pos0 in enumerate(self.data_positions):
-            if data >> j & 1:
-                word |= 1 << pos0
-        for i, mask in enumerate(self._check_masks):
-            if _parity(word & mask):
-                word |= 1 << self.check_positions[i]
-        if _parity(word):
-            word |= 1 << self.parity_position
-        return word
+        # Column syndrome: Hamming index, overall parity flag at bit r.
+        flag = 1 << r
+        columns = [(pos + 1) | flag for pos in range(m)] + [flag]
+        data_codewords = []
+        for pos in self.data_positions:
+            word = 1 << pos
+            for i in range(r):
+                if (pos + 1) >> i & 1:
+                    word |= 1 << self.check_positions[i]
+            data_codewords.append(word | _parity(word) << self.parity_position)
+        self._build_tables(data_codewords, columns)
+        extract_columns = [0] * self.n
+        for j, pos in enumerate(self.data_positions):
+            extract_columns[pos] = 1 << j
+        self._extract_tables = _byte_tables(extract_columns)
 
     def extract(self, codeword: int) -> int:
-        data = 0
-        for j, pos0 in enumerate(self.data_positions):
-            if codeword >> pos0 & 1:
-                data |= 1 << j
-        return data
-
-    def _syndrome(self, word: int) -> int:
-        s = 0
-        rest = word & ((1 << self._m) - 1)
-        while rest:
-            low = rest & -rest
-            s ^= low.bit_length()
-            rest ^= low
-        return s
-
-    def decode(self, word: int) -> DecodeResult:
-        if word < 0 or word >> self.n:
-            raise ValueError("word out of range")
-        syndrome = self._syndrome(word)
-        overall = _parity(word)
-        if syndrome == 0 and overall == 0:
-            return DecodeResult(DecodeStatus.CLEAN, self.extract(word), word)
-        if syndrome == 0:
-            fixed = word ^ (1 << self.parity_position)
-            return DecodeResult(
-                DecodeStatus.CORRECTED, self.extract(fixed), fixed, (self.parity_position,)
-            )
-        if overall == 1 and syndrome <= self._m:
-            fixed = word ^ (1 << (syndrome - 1))
-            return DecodeResult(
-                DecodeStatus.CORRECTED, self.extract(fixed), fixed, (syndrome - 1,)
-            )
-        # Even overall parity with a nonzero syndrome is a double error;
-        # a syndrome past the last position means at least three.
-        return DecodeResult(DecodeStatus.DETECTED_UNCORRECTABLE, None, None)
+        return _lookup(self._extract_tables, codeword)
 
 
-# GF(2^6) tables over the primitive polynomial x^6 + x + 1.
+# GF(2^6) tables over the primitive polynomial x^6 + x + 1, used to build
+# the BCH generator.
 _GF_POLY = 0b1000011
 _GF_ORDER = 63
 _EXP = [0] * (2 * _GF_ORDER)
@@ -164,12 +220,6 @@ def _gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
     return _EXP[_LOG[a] + _LOG[b]]
-
-
-def _gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("inverse of 0 in GF(64)")
-    return _EXP[_GF_ORDER - _LOG[a]]
 
 
 def _minimal_polynomial(exponent: int) -> int:
@@ -213,46 +263,7 @@ def _poly_mod_gf2(a: int, mod: int) -> int:
     return a
 
 
-def _berlekamp_massey(syndromes: list[int]) -> tuple[list[int], int]:
-    """Error-locator polynomial from the syndrome sequence.
-
-    Returns (coefficients lowest-first with C[0] == 1, register length L).
-    """
-    c = [1]
-    b = [1]
-    L = 0
-    m = 1
-    prev_d = 1
-    for n_i, s in enumerate(syndromes):
-        d = s
-        for i in range(1, L + 1):
-            if i < len(c):
-                d ^= _gf_mul(c[i], syndromes[n_i - i])
-        if d == 0:
-            m += 1
-            continue
-        coef = _gf_mul(d, _gf_inv(prev_d))
-        shifted_len = len(b) + m
-        if shifted_len > len(c):
-            c = c + [0] * (shifted_len - len(c))
-        if 2 * L <= n_i:
-            keep = c[:]
-            for i, bc in enumerate(b):
-                c[i + m] ^= _gf_mul(coef, bc)
-            L = n_i + 1 - L
-            b = keep
-            prev_d = d
-            m = 1
-        else:
-            for i, bc in enumerate(b):
-                c[i + m] ^= _gf_mul(coef, bc)
-            m += 1
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c, L
-
-
-class Ec3Ed4:
+class Ec3Ed4(_SyndromeCode):
     """Shortened distance-7 BCH code plus overall parity: distance 8.
 
     Corrects up to three bit errors per word and detects all four-bit
@@ -262,7 +273,6 @@ class Ec3Ed4:
 
     _T = 3
     _CHECK_BITS = 18
-    _FULL_LENGTH = 63
     _MAX_DATA = 45
 
     def __init__(self, data_bits: int = 32):
@@ -282,104 +292,38 @@ class Ec3Ed4:
         if g.bit_length() - 1 != self._CHECK_BITS:
             raise AssertionError("generator degree is off")
         self.generator = g
-        # Number of (unshortened) polynomial positions actually in use.
-        self._poly_len = self._CHECK_BITS + data_bits
-
-    # Polynomial coefficient p maps to: checks for p < 18, data bit p - 18
-    # otherwise.  Word bit order is [data | checks | parity].
-    def _word_to_poly(self, word: int) -> int:
-        data = word & ((1 << self.data_bits) - 1)
-        checks = (word >> self.data_bits) & ((1 << self._CHECK_BITS) - 1)
-        return (data << self._CHECK_BITS) | checks
-
-    def _poly_to_word(self, poly: int, parity_bit: int) -> int:
-        checks = poly & ((1 << self._CHECK_BITS) - 1)
-        data = poly >> self._CHECK_BITS
-        return data | (checks << self.data_bits) | (parity_bit << self.parity_position)
-
-    def encode(self, data: int) -> int:
-        if data < 0 or data >> self.data_bits:
-            raise ValueError("data out of range")
-        shifted = data << self._CHECK_BITS
-        rem = _poly_mod_gf2(shifted, self.generator)
-        poly = shifted | rem
-        return self._poly_to_word(poly, _parity(poly))
+        self._data_mask = (1 << data_bits) - 1
+        # Data bit j is the polynomial term x^(18 + j), check bit i the term
+        # x^i; a column syndrome is the term's remainder modulo g, with the
+        # overall parity flag at bit 18.
+        flag = 1 << self._CHECK_BITS
+        rems = [_poly_mod_gf2(1 << (self._CHECK_BITS + j), g) for j in range(data_bits)]
+        columns = ([rem | flag for rem in rems]
+                   + [(1 << i) | flag for i in range(self._CHECK_BITS)] + [flag])
+        data_codewords = [
+            (1 << j) | rem << data_bits | (1 ^ _parity(rem)) << self.parity_position
+            for j, rem in enumerate(rems)
+        ]
+        self._build_tables(data_codewords, columns)
 
     def extract(self, codeword: int) -> int:
-        return codeword & ((1 << self.data_bits) - 1)
+        return codeword & self._data_mask
 
-    def _syndromes(self, poly: int) -> list[int]:
-        out = []
-        positions = []
-        rest = poly
-        while rest:
-            low = rest & -rest
-            positions.append(low.bit_length() - 1)
-            rest ^= low
-        for j in range(1, 2 * self._T + 1):
-            s = 0
-            for p in positions:
-                s ^= _EXP[(j * p) % _GF_ORDER]
-            out.append(s)
-        return out
 
-    def decode(self, word: int) -> DecodeResult:
-        if word < 0 or word >> self.n:
-            raise ValueError("word out of range")
-        poly = self._word_to_poly(word)
-        overall = _parity(word)
-        syndromes = self._syndromes(poly)
-        if not any(syndromes):
-            if overall == 0:
-                return DecodeResult(DecodeStatus.CLEAN, self.extract(word), word)
-            fixed = word ^ (1 << self.parity_position)
-            return DecodeResult(
-                DecodeStatus.CORRECTED, self.extract(fixed), fixed, (self.parity_position,)
-            )
-        locator, nu = _berlekamp_massey(syndromes)
-        if nu > self._T or len(locator) - 1 > nu:
-            return DecodeResult(DecodeStatus.DETECTED_UNCORRECTABLE, None, None)
-        # Chien search restricted to the unshortened positions; a root
-        # landing in the shortened tail shows up as a missing root here.
-        roots = []
-        for p in range(self._poly_len):
-            acc = 0
-            for i, ci in enumerate(locator):
-                if ci:
-                    acc ^= _EXP[(_LOG[ci] + (-p * i) % _GF_ORDER) % _GF_ORDER]
-            if acc == 0:
-                roots.append(p)
-        if len(roots) != nu:
-            return DecodeResult(DecodeStatus.DETECTED_UNCORRECTABLE, None, None)
-        # The parity bit sees every error; disagreement means one more error
-        # than the locator found.
-        parity_flip = overall ^ (nu & 1)
-        if parity_flip and nu >= self._T:
-            # nu + 1 errors with nu == t exceeds the correction radius.
-            return DecodeResult(DecodeStatus.DETECTED_UNCORRECTABLE, None, None)
-        fixed_poly = poly
-        for p in roots:
-            fixed_poly ^= 1 << p
-        parity_bit = (word >> self.parity_position & 1) ^ parity_flip
-        fixed = self._poly_to_word(fixed_poly, parity_bit)
-        positions = []
-        for p in roots:
-            if p < self._CHECK_BITS:
-                positions.append(self.data_bits + p)
-            else:
-                positions.append(p - self._CHECK_BITS)
-        if parity_flip:
-            positions.append(self.parity_position)
-        return DecodeResult(
-            DecodeStatus.CORRECTED, self.extract(fixed), fixed, tuple(sorted(positions))
-        )
+_CODES: dict[tuple[str, int], _SyndromeCode] = {}
 
 
 def make_code(name: str, data_bits: int):
-    """Code factory for config files: secded | ec3ed4."""
-    key = name.strip().lower()
-    if key == "secded":
-        return Secded(data_bits)
-    if key == "ec3ed4":
-        return Ec3Ed4(data_bits)
-    raise ValueError(f"unknown code {name!r}")
+    """Code factory for config files: secded | ec3ed4.  Codes are built once
+    per (name, data_bits) and shared."""
+    key = (name.strip().lower(), data_bits)
+    code = _CODES.get(key)
+    if code is None:
+        if key[0] == "secded":
+            code = Secded(data_bits)
+        elif key[0] == "ec3ed4":
+            code = Ec3Ed4(data_bits)
+        else:
+            raise ValueError(f"unknown code {name!r}")
+        _CODES[key] = code
+    return code

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from sttcim.cli import main
@@ -121,3 +126,68 @@ def test_bad_numeric_options_exit_2(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["map", "plan", "--pattern", "type1", "--n", "0"],
+     "argument --n: expected a positive integer, got '0'"),
+    (["map", "plan", "--pattern", "type3", "--n", "8", "--m", "0"],
+     "argument --m: expected a positive integer, got '0'"),
+    (["xform", "prog.asm", "--n", "0"],
+     "argument --n: expected a positive integer, got '0'"),
+    (["bench", "run", "--n", "0"],
+     "argument --n: expected a positive integer, got '0'"),
+    (["bench", "sweep", "--n", "0"],
+     "argument --n: expected a positive integer, got '0'"),
+    (["device", "mc", "--scale", "-1"],
+     "argument --scale: expected a non-negative number, got '-1'"),
+    (["device", "mc", "--scale", "nan"],
+     "argument --scale: expected a non-negative number, got 'nan'"),
+    (["bench", "run", "--latency", "-1"],
+     "argument --latency: expected a non-negative integer, got '-1'"),
+    (["bench", "sweep", "--latencies", "1,-2"],
+     "argument --latencies: expected non-negative latencies, got '1,-2'"),
+    (["ecc", "prove", "--data-bits", "0"],
+     "argument --data-bits: expected a positive integer, got '0'"),
+    (["ecc", "prove", "--trials", "0"],
+     "argument --trials: expected a positive integer, got '0'"),
+    (["array", "selftest", "--words", "0"],
+     "argument --words: expected a positive integer, got '0'"),
+])
+def test_out_of_range_options_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+
+
+def test_ecc_prove_width_past_the_code_fails_cleanly(capsys):
+    assert main(["ecc", "prove", "--code", "ec3ed4", "--data-bits", "46"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ecc prove failed: data_bits must be in 1..45\n"
+
+
+def test_plan_past_capacity_fails_cleanly(tmp_path, capsys):
+    message = "type1 capacity is 4096 words, asked for 100000"
+    assert main(["map", "plan", "--pattern", "type1", "--n", "100000"]) == 2
+    assert capsys.readouterr().err == f"map plan failed: {message}\n"
+    src = tmp_path / "halt.asm"
+    src.write_text("HALT\n")
+    assert main(["xform", str(src), "--n", "100000"]) == 2
+    assert capsys.readouterr().err == f"xform failed: {message}\n"
+    assert main(["bench", "run", "--kernel", "vecsum", "--mode", "cim", "--n", "100000"]) == 1
+    assert capsys.readouterr().err == f"bench failed: {message}\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "sttcim", "map", "plan", "--pattern", "type2",
+                          "--n", "100"], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "PATTERN type2" in res.stdout

@@ -1,6 +1,9 @@
 """Assembler round trip, scalar semantics, the CiM instruction extension,
 bus invariants and the cycle model."""
 
+import gc
+import weakref
+
 import pytest
 
 from sttcim.cimarray import Addr, ArrayConfig, CimArray, SPARE_ALIAS
@@ -9,6 +12,8 @@ from sttcim.cpu import (
     BusTransaction,
     Cpu,
     CpuFault,
+    Instruction,
+    Program,
     format_program,
     parse_program,
 )
@@ -229,3 +234,81 @@ def test_sub_word_width_config():
     cpu.run()
     assert cpu.regs[1] == 0x1234
     assert cpu.regs[2] == 0x1234 ^ 0xFFFF
+
+
+def test_step_matches_run_and_faults_leave_state():
+    src = """
+        ADDI r1, r0, 3
+    loop:
+        ADDI r2, r2, 5
+        STW r2, 0(r1)
+        ADDI r1, r1, -1
+        BNE r1, r0, loop
+        HALT
+    """
+    ran = Cpu(CimArray(), parse_program(src), memory_latency=2)
+    ran.run()
+    stepped = Cpu(CimArray(), parse_program(src), memory_latency=2)
+    while not stepped.halted:
+        stepped.step()
+    assert (stepped.regs, stepped.cycles, stepped.executed, stepped.pc) == (
+        ran.regs, ran.cycles, ran.executed, ran.pc)
+    with pytest.raises(CpuFault, match="^stepping a halted CPU$"):
+        stepped.step()
+
+    cpu = Cpu(CimArray(), parse_program("ADDI r1, r0, 1\n"))
+    cpu.step()
+    with pytest.raises(CpuFault, match="^pc 1 outside the program$"):
+        cpu.step()
+    assert (cpu.pc, cpu.cycles, cpu.executed) == (1, 1, 1)
+
+
+def test_array_error_names_the_line_and_keeps_pc():
+    src = f"ADDI r3, r0, 1\nLUI r1, {SPARE_ALIAS >> 16}\nLDW r2, 0(r1)\nHALT\n"
+    cpu = Cpu(CimArray(), parse_program(src))
+    with pytest.raises(CpuFault, match="^line 3: spare-row alias is only valid as a CiM operand$"):
+        cpu.run()
+    assert (cpu.pc, cpu.executed, cpu.cycles) == (2, 2, 2)
+
+
+def test_step_limit_message():
+    cpu = Cpu(CimArray(), parse_program("spin: JMP spin\nHALT\n"))
+    with pytest.raises(CpuFault, match="^exceeded 100 steps without HALT$"):
+        cpu.run(max_steps=100)
+    assert cpu.executed == 100
+
+
+def test_decode_checks_labels_and_defers_unknown_ops():
+    with pytest.raises(AsmError, match="unknown label 'nowhere'"):
+        Cpu(CimArray(), Program([Instruction("JMP", ("nowhere",), (), 4)]))
+    cpu = Cpu(CimArray(), Program([Instruction("HALT", (), (), 1),
+                                   Instruction("FROB", (), (), 2)]))
+    assert cpu.run().instructions == 1
+    cpu = Cpu(CimArray(), Program([Instruction("FROB", (), (), 7)]))
+    with pytest.raises(CpuFault, match="^line 7: unknown op 'FROB'$"):
+        cpu.step()
+
+
+def test_finished_cpu_is_freed_without_the_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cpu = Cpu(CimArray(), parse_program("ADDI r1, r0, 1\nBEQ r0, r0, end\nend: HALT\n"))
+        cpu.run()
+        ref = weakref.ref(cpu)
+        del cpu
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_writes_to_r0_are_dropped_but_accesses_stay():
+    arr = CimArray()
+    arr.write_word(5, 99)
+    arr.write_word(16 + 5, 7)
+    cpu, res = _run("ADDI r0, r0, 4\nLDW r0, 5(r0)\nADDI r1, r0, 5\nADDI r2, r0, 21\n"
+                    "CIMXOR r0, r1, r2\nHALT\n", array=arr, latency=3)
+    assert cpu.regs[0] == 0
+    assert arr.counters.reads == 1 and arr.counters.cim_ops == 1
+    assert res.cycles == 6 + 3 * 2

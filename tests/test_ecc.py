@@ -1,6 +1,7 @@
 """Code construction, exhaustive correction/detection guarantees, and the
 linearity property the in-array XOR check leans on."""
 
+import hashlib
 import itertools
 import random
 
@@ -181,5 +182,72 @@ def test_decode_input_validation():
 def test_make_code():
     assert make_code("secded", 32).n == 39
     assert make_code("EC3ED4", 32).n == 51
+    assert make_code(" ec3ed4", 32) is make_code("EC3ED4", 32)
+    assert make_code("ec3ed4", 8) is not make_code("ec3ed4", 32)
     with pytest.raises(ValueError):
         make_code("hamming", 32)
+
+
+# -- reference decoder ---------------------------------------------------------
+
+
+def _radius(code):
+    return 3 if isinstance(code, Ec3Ed4) else 1
+
+
+def _bounded_distance_decode(code, codebook, word):
+    """Brute force: the unique codeword within distance t of word, else a
+    refusal.  codebook maps every codeword to its data."""
+    near = [cw for cw in codebook if (cw ^ word).bit_count() <= _radius(code)]
+    if not near:
+        return DecodeStatus.DETECTED_UNCORRECTABLE, None, None, ()
+    (cw,) = near  # distance >= 2t + 1 leaves at most one
+    positions = tuple(i for i in range(code.n) if (cw ^ word) >> i & 1)
+    status = DecodeStatus.CORRECTED if positions else DecodeStatus.CLEAN
+    return status, codebook[cw], cw, positions
+
+
+def _outcome(res):
+    return res.status, res.data, res.codeword, res.error_positions
+
+
+def test_secded8_matches_bounded_distance_on_every_word():
+    code = Secded(8)
+    codebook = {code.encode(d): d for d in range(256)}
+    for word in range(1 << code.n):
+        assert _outcome(code.decode(word)) == _bounded_distance_decode(code, codebook, word), word
+
+
+def test_ec3ed4_8_matches_bounded_distance_at_every_weight():
+    code = Ec3Ed4(8)
+    codebook = {code.encode(d): d for d in range(256)}
+    rng = random.Random(2718)
+    for weight in range(code.n + 1):
+        for _ in range(40):
+            word = code.encode(rng.getrandbits(8))
+            for p in rng.sample(range(code.n), weight):
+                word ^= 1 << p
+            want = _bounded_distance_decode(code, codebook, word)
+            assert _outcome(code.decode(word)) == want, (weight, word)
+
+
+def _decode_digest(code, words, seed):
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for i in range(words):
+        word = code.encode(rng.getrandbits(code.data_bits))
+        for p in rng.sample(range(code.n), i % 10):
+            word ^= 1 << p
+        res = code.decode(word)
+        h.update(repr((res.status.value, res.data, res.codeword, res.error_positions)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("ec3ed4", "76f74707cf256b7b7c4765e8f90774a949fe804b010d1c109485801f9014db98"),
+    ("secded", "4c008ed3c91a8c9651b36eb9d1d4c79353d8f97bc7c9b88c6e65904989bdecd1"),
+])
+def test_decode_outcomes_pinned(name, digest):
+    # Recorded with the Berlekamp-Massey / Chien decoder this one replaced:
+    # 20k words with 0-9 flipped bits, miscorrections included.
+    assert _decode_digest(make_code(name, 32), 20_000, 2024) == digest
