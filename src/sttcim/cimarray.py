@@ -273,8 +273,10 @@ class DeviceColumnSampler:
         self.seed = seed
 
     def _cells(self, access: int, n: int):
-        ent = np.uint64(access) * np.uint64(SPARE_ALIAS) + np.arange(n, dtype=np.uint64)
-        cells = ent[:, None] * np.uint64(self._SLOTS) + np.arange(self._SLOTS, dtype=np.uint64)
+        # Entity access * SPARE_ALIAS + column owns cells entity * 8 + slot, so
+        # the cells of one access are one contiguous index range.
+        first = access * SPARE_ALIAS * self._SLOTS
+        cells = np.arange(first, first + n * self._SLOTS, dtype=np.uint64).reshape(n, self._SLOTS)
         return cell_factors(self.params, self.variation, self.seed, cells)
 
     def _currents(self, factor, r_t, slot, r_nominal):

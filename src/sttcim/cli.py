@@ -27,6 +27,7 @@ from .bench import (
 from .cimarray import ArrayConfig, CimArray
 from .cpu import AsmError, format_program, parse_program
 from .device import (
+    ConfigError,
     DeviceParams,
     VariationSpec,
     failure_report_csv,
@@ -87,11 +88,23 @@ def _write_out(args, text: str) -> None:
 
 
 def _cmd_device_mc(args) -> int:
-    params = load_device_config(args.config) if args.config else DeviceParams()
-    variation = VariationSpec().scaled(args.scale)
-    rep = monte_carlo_failures(params, variation, args.samples, args.seed)
-    _write_out(args, failure_report_csv(rep))
-    return 0
+    try:
+        if args.config:
+            params, variation = load_device_config(args.config)
+        else:
+            params, variation = DeviceParams(), VariationSpec()
+        rep = monte_carlo_failures(params, variation.scaled(args.scale), args.samples, args.seed)
+    except OSError as exc:
+        message = f"cannot read {args.config}: {exc.strerror}"
+    except UnicodeDecodeError as exc:
+        message = f"{args.config}: {exc}"
+    except ConfigError as exc:
+        message = str(exc)
+    else:
+        _write_out(args, failure_report_csv(rep))
+        return 0
+    print(f"device mc failed: {message}", file=sys.stderr)
+    return 2
 
 
 def _corrupt(word: int, n: int, weight: int, rng: random.Random) -> tuple[int, tuple[int, ...]]:

@@ -29,6 +29,14 @@ Process variation maps three normal draws per cell onto resistances:
 with eps_* ~ N(0, sigma_*).  The oxide and area draws are shared between the
 parallel and anti-parallel resistance of the same junction.  Draws are pure
 functions of (seed, cell index) so chunked evaluation is order-independent.
+
+The Monte Carlo has two units.  The ``chunk`` argument is the summation
+unit: each float mean is the sum of per-chunk sums, so ``chunk`` fixes the
+last bits of the margins and mean currents (failure counts are exact
+integers and never depend on it).  The block, ``_BLOCK`` samples, is only
+the evaluation unit: samples are drawn and evaluated a cache-sized block at
+a time, each block writes its per-sample terms into chunk-length arrays,
+and each array is summed once per chunk, so the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -44,13 +52,11 @@ __all__ = [
     "ConfigError",
     "DeviceParams",
     "VariationSpec",
-    "CellSample",
     "CurrentLevels",
     "FailureReport",
     "cell_current",
     "current_levels",
     "sense_bit",
-    "sample_cell",
     "cell_factors",
     "monte_carlo_failures",
     "load_device_config",
@@ -139,15 +145,6 @@ class VariationSpec:
             sigma_area=self.sigma_area * factor,
             sigma_vt=self.sigma_vt * factor,
         )
-
-
-@dataclass(frozen=True)
-class CellSample:
-    """Effective resistances of one varied bit-cell."""
-
-    r_p_eff: float
-    r_ap_eff: float
-    r_t_eff: float
 
 
 @dataclass(frozen=True)
@@ -242,6 +239,11 @@ _SLOT_A, _SLOT_B = 0, 1
 _SLOT_LREF, _SLOT_LAP, _SLOT_LP = 2, 3, 4
 _SLOT_RREF, _SLOT_RAP, _SLOT_RP = 5, 6, 7
 
+# Monte Carlo samples evaluated together inside one summation chunk.  At
+# 2048 samples a block's 49,152 draws and its temporaries (under 2 MB) stay
+# in a core's L2 cache; smaller blocks pay more per-call overhead.
+_BLOCK = 2048
+
 
 def cell_factors(params, variation, seed, cell_indices):
     """Vectorized variation draws for the given cell indices.
@@ -251,10 +253,11 @@ def cell_factors(params, variation, seed, cell_indices):
     oxide and area draws are common to r_p and r_ap of the cell.
     """
     idx = np.asarray(cell_indices, dtype=np.uint64)
-    base = idx * np.uint64(_DRAWS_PER_CELL)
-    eps_tox = unit_normals(seed, base)
-    eps_area = unit_normals(seed, base + np.uint64(1))
-    eps_vt = unit_normals(seed, base + np.uint64(2))
+    # One draw call for all three sources: row k holds word indices cell*3 + k.
+    offsets = np.arange(_DRAWS_PER_CELL, dtype=np.uint64).reshape((-1,) + (1,) * idx.ndim)
+    draws = idx * np.uint64(_DRAWS_PER_CELL) + offsets
+    eps = unit_normals(seed, draws)
+    eps_tox, eps_area, eps_vt = eps
 
     for retry in range(_MAX_RETRIES + 1):
         denom = 1.0 + variation.sigma_area * eps_area
@@ -267,23 +270,10 @@ def cell_factors(params, variation, seed, cell_indices):
         # Rehash only the offending cells at a distant index range.
         shift = np.uint64((retry + 1) * _RETRY_STRIDE & 0xFFFFFFFFFFFFFFFF)
         with np.errstate(over="ignore"):
-            rebase = base[bad] + shift
-        eps_tox[bad] = unit_normals(seed, rebase)
-        eps_area[bad] = unit_normals(seed, rebase + np.uint64(1))
-        eps_vt[bad] = unit_normals(seed, rebase + np.uint64(2))
+            eps[:, bad] = unit_normals(seed, draws[:, bad] + shift)
 
     factor = np.exp(variation.tox_sensitivity * variation.sigma_tox * eps_tox) / denom
     return factor, r_t
-
-
-def sample_cell(params: DeviceParams, variation: VariationSpec, seed: int, index: int) -> CellSample:
-    """One varied bit-cell, pure in (seed, index)."""
-    factor, r_t = cell_factors(params, variation, seed, np.array([index], dtype=np.uint64))
-    return CellSample(
-        r_p_eff=float(params.r_p * factor[0]),
-        r_ap_eff=float(params.r_ap * factor[0]),
-        r_t_eff=float(r_t[0]),
-    )
 
 
 def _disturb_per_cell(v, r_sl, r_self, r_other):
@@ -293,6 +283,87 @@ def _disturb_per_cell(v, r_sl, r_self, r_other):
     the matching single-cell read current, whenever r_sl > 0.
     """
     return v * r_other / (r_sl * (r_self + r_other) + r_self * r_other)
+
+
+def _sample_block(params, variation, seed, first, terms):
+    """Evaluate the samples first .. first + terms.shape[1] - 1.
+
+    Writes their margin-low, margin-high, CiM-cell and read-cell current
+    terms into the four rows of terms and returns the block's (read
+    failures, CiM failures, all-below-read) counts.
+    """
+    v = params.read_voltage
+    r_p, r_ap, r_ref = params.r_p, params.r_ap, params.r_ref
+    r_sl = params.sl_resistance
+    m = terms.shape[1]
+    # Row s holds slot s of every sample, so each slot is one contiguous row.
+    cells = np.arange(first, first + m, dtype=np.uint64) * np.uint64(CELLS_PER_SAMPLE)
+    cells = cells + np.arange(CELLS_PER_SAMPLE, dtype=np.uint64)[:, None]
+    factor, r_t = cell_factors(params, variation, seed, cells)
+
+    # Data cells: both junction states share the cell's draws.
+    ra_p = r_p * factor[_SLOT_A]
+    ra_ap = r_ap * factor[_SLOT_A]
+    rb_p = r_p * factor[_SLOT_B]
+    rb_ap = r_ap * factor[_SLOT_B]
+    rta = r_t[_SLOT_A]
+    rtb = r_t[_SLOT_B]
+
+    ia_p = v / (rta + ra_p)
+    ia_ap = v / (rta + ra_ap)
+    ib_p = v / (rtb + rb_p)
+    ib_ap = v / (rtb + rb_ap)
+
+    # Left stack supplies the read and OR references, right stack AND.
+    i_ref_read = v / (r_t[_SLOT_LREF] + r_ref * factor[_SLOT_LREF])
+    i_ref_or = i_ref_read + v / (r_t[_SLOT_LAP] + r_ap * factor[_SLOT_LAP])
+    i_ref_and = (
+        v / (r_t[_SLOT_RREF] + r_ref * factor[_SLOT_RREF])
+        + v / (r_t[_SLOT_RP] + r_p * factor[_SLOT_RP])
+    )
+
+    read_bad = (ia_p <= i_ref_read) | (ia_ap > i_ref_read)
+
+    i_pp = ia_p + ib_p
+    i_pap = ia_p + ib_ap
+    i_app = ia_ap + ib_p
+    i_apap = ia_ap + ib_ap
+    ok_pp = (i_pp > i_ref_and) & (i_pp > i_ref_or)
+    ok_pap = (i_pap > i_ref_or) & (i_pap <= i_ref_and)
+    ok_app = (i_app > i_ref_or) & (i_app <= i_ref_and)
+    ok_apap = (i_apap <= i_ref_or) & (i_apap <= i_ref_and)
+    cim_ok = ok_pp & ok_pap & ok_app & ok_apap
+
+    margin_low, margin_high, cim_cell, read_cell = terms
+    mid = 0.5 * (i_pap + i_app)
+    np.subtract(mid, i_ref_or, out=margin_low)
+    np.subtract(i_ref_and, mid, out=margin_high)
+
+    # Disturb proxy: shared series resistance enters here only.
+    tot_a_p, tot_a_ap = rta + ra_p, rta + ra_ap
+    tot_b_p, tot_b_ap = rtb + rb_p, rtb + rb_ap
+    read_a_p = v / (r_sl + tot_a_p)
+    read_a_ap = v / (r_sl + tot_a_ap)
+    read_b_p = v / (r_sl + tot_b_p)
+    read_b_ap = v / (r_sl + tot_b_ap)
+    np.multiply(0.25, read_a_p + read_a_ap + read_b_p + read_b_ap, out=read_cell)
+
+    combos = (
+        (tot_a_p, tot_b_p, read_a_p, read_b_p),
+        (tot_a_p, tot_b_ap, read_a_p, read_b_ap),
+        (tot_a_ap, tot_b_p, read_a_ap, read_b_p),
+        (tot_a_ap, tot_b_ap, read_a_ap, read_b_ap),
+    )
+    cim_cell.fill(0.0)
+    all_below = np.ones(m, dtype=bool)
+    for tot_a, tot_b, rd_a, rd_b in combos:
+        cur_a = _disturb_per_cell(v, r_sl, tot_a, tot_b)
+        cur_b = _disturb_per_cell(v, r_sl, tot_b, tot_a)
+        cim_cell += cur_a + cur_b
+        all_below &= (cur_a < rd_a) & (cur_b < rd_b)
+    cim_cell /= 8.0
+    return (int(np.count_nonzero(read_bad)), m - int(np.count_nonzero(cim_ok)),
+            int(np.count_nonzero(all_below)))
 
 
 def monte_carlo_failures(
@@ -309,95 +380,32 @@ def monte_carlo_failures(
     on the wrong side of the sensed read reference; a CiM access fails if
     any of the four state combinations thresholds wrong against the sensed
     OR/AND references.  Counts are exact integers, so chunked accumulation
-    is order-independent.
+    is order-independent.  Float means are summed once per chunk of
+    samples, so chunk fixes their last bits; chunk must be positive.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    v = params.read_voltage
-    r_p, r_ap, r_ref = params.r_p, params.r_ap, params.r_ref
-    r_sl = params.sl_resistance
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
 
     read_fails = 0
     cim_fails = 0
     below = 0
-    sum_margin_low = 0.0
-    sum_margin_high = 0.0
-    sum_cim_cell = 0.0
-    sum_read_cell = 0.0
+    sums = [0.0, 0.0, 0.0, 0.0]  # margin low, margin high, CiM cell, read cell
 
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
-        samples = np.arange(start, start + m, dtype=np.uint64)
-        cells = samples[:, None] * np.uint64(CELLS_PER_SAMPLE) + np.arange(
-            CELLS_PER_SAMPLE, dtype=np.uint64
-        )
-        factor, r_t = cell_factors(params, variation, seed, cells)
+        terms = np.empty((4, m))
+        for lo in range(0, m, _BLOCK):
+            hi = min(lo + _BLOCK, m)
+            r, c, b = _sample_block(params, variation, seed, start + lo, terms[:, lo:hi])
+            read_fails += r
+            cim_fails += c
+            below += b
+        for i, row in enumerate(terms):
+            sums[i] += float(row.sum())
 
-        # Data cells: both junction states share the cell's draws.
-        ra_p = r_p * factor[:, _SLOT_A]
-        ra_ap = r_ap * factor[:, _SLOT_A]
-        rb_p = r_p * factor[:, _SLOT_B]
-        rb_ap = r_ap * factor[:, _SLOT_B]
-        rta = r_t[:, _SLOT_A]
-        rtb = r_t[:, _SLOT_B]
-
-        ia_p = v / (rta + ra_p)
-        ia_ap = v / (rta + ra_ap)
-        ib_p = v / (rtb + rb_p)
-        ib_ap = v / (rtb + rb_ap)
-
-        # Left stack supplies the read and OR references, right stack AND.
-        i_ref_read = v / (r_t[:, _SLOT_LREF] + r_ref * factor[:, _SLOT_LREF])
-        i_ref_or = i_ref_read + v / (r_t[:, _SLOT_LAP] + r_ap * factor[:, _SLOT_LAP])
-        i_ref_and = (
-            v / (r_t[:, _SLOT_RREF] + r_ref * factor[:, _SLOT_RREF])
-            + v / (r_t[:, _SLOT_RP] + r_p * factor[:, _SLOT_RP])
-        )
-
-        read_bad = (ia_p <= i_ref_read) | (ia_ap > i_ref_read)
-        read_fails += int(read_bad.sum())
-
-        i_pp = ia_p + ib_p
-        i_pap = ia_p + ib_ap
-        i_app = ia_ap + ib_p
-        i_apap = ia_ap + ib_ap
-        ok_pp = (i_pp > i_ref_and) & (i_pp > i_ref_or)
-        ok_pap = (i_pap > i_ref_or) & (i_pap <= i_ref_and)
-        ok_app = (i_app > i_ref_or) & (i_app <= i_ref_and)
-        ok_apap = (i_apap <= i_ref_or) & (i_apap <= i_ref_and)
-        cim_bad = ~(ok_pp & ok_pap & ok_app & ok_apap)
-        cim_fails += int(cim_bad.sum())
-
-        sum_margin_low += float((0.5 * (i_pap + i_app) - i_ref_or).sum())
-        sum_margin_high += float((i_ref_and - 0.5 * (i_pap + i_app)).sum())
-
-        # Disturb proxy: shared series resistance enters here only.
-        tot_a_p, tot_a_ap = rta + ra_p, rta + ra_ap
-        tot_b_p, tot_b_ap = rtb + rb_p, rtb + rb_ap
-        read_a_p = v / (r_sl + tot_a_p)
-        read_a_ap = v / (r_sl + tot_a_ap)
-        read_b_p = v / (r_sl + tot_b_p)
-        read_b_ap = v / (r_sl + tot_b_ap)
-        read_cell = 0.25 * (read_a_p + read_a_ap + read_b_p + read_b_ap)
-
-        combos = (
-            (tot_a_p, tot_b_p, read_a_p, read_b_p),
-            (tot_a_p, tot_b_ap, read_a_p, read_b_ap),
-            (tot_a_ap, tot_b_p, read_a_ap, read_b_p),
-            (tot_a_ap, tot_b_ap, read_a_ap, read_b_ap),
-        )
-        cim_cell = np.zeros(m)
-        all_below = np.ones(m, dtype=bool)
-        for tot_a, tot_b, rd_a, rd_b in combos:
-            cur_a = _disturb_per_cell(v, r_sl, tot_a, tot_b)
-            cur_b = _disturb_per_cell(v, r_sl, tot_b, tot_a)
-            cim_cell += cur_a + cur_b
-            all_below &= (cur_a < rd_a) & (cur_b < rd_b)
-        cim_cell /= 8.0
-        below += int(all_below.sum())
-        sum_cim_cell += float(cim_cell.sum())
-        sum_read_cell += float(read_cell.sum())
-
+    sum_margin_low, sum_margin_high, sum_cim_cell, sum_read_cell = sums
     return FailureReport(
         samples=n,
         read_decision_rate=read_fails / n,

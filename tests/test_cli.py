@@ -164,6 +164,45 @@ def test_out_of_range_options_exit_2(argv, message, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_device_mc_reads_config(tmp_path, capsys):
+    argv = ["device", "mc", "--samples", "4000", "--seed", "5", "--scale", "1.5"]
+    assert main(argv) == 0
+    default_csv = capsys.readouterr().out
+    same = tmp_path / "default.cfg"
+    same.write_text("ra_product_ohm_um2 = 18\ntmr_pct = 124\nmtj_side_nm = 40\n"
+                    "tox_sigma_pct = 2\narea_sigma_pct = 5\nvt_sigma_pct = 5\n")
+    assert main([*argv, "--config", str(same)]) == 0
+    assert capsys.readouterr().out == default_csv
+    still = tmp_path / "still.cfg"
+    still.write_text("tox_sigma_pct = 0\narea_sigma_pct = 0\nvt_sigma_pct = 0\n")
+    assert main([*argv, "--config", str(still)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("4000,0.0,0.0,")
+
+
+def test_device_mc_bad_input_fails_cleanly(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    malformed = tmp_path / "malformed.cfg"
+    malformed.write_text("tmr=abc\n")
+    bad_number = tmp_path / "bad_number.cfg"
+    bad_number.write_text("tmr_pct = abc\n")
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"tmr_pct = \xff\n")
+    cases = [
+        (["--config", str(missing)], f"cannot read {missing}: No such file or directory"),
+        (["--config", str(tmp_path)], f"cannot read {tmp_path}: Is a directory"),
+        (["--config", str(malformed)], f"{malformed}:1: unknown key 'tmr'"),
+        (["--config", str(bad_number)], f"{bad_number}:1: bad number for 'tmr_pct'"),
+        (["--config", str(binary)], f"{binary}: 'utf-8' codec can't decode byte 0xff"),
+        (["--scale", "100"], "variation draws kept producing non-positive resistances"),
+    ]
+    for extra, message in cases:
+        assert main(["device", "mc", "--samples", "1000", *extra]) == 2, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"device mc failed: {message}"), captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_ecc_prove_width_past_the_code_fails_cleanly(capsys):
     assert main(["ecc", "prove", "--code", "ec3ed4", "--data-bits", "46"]) == 2
     captured = capsys.readouterr()

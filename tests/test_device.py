@@ -1,21 +1,25 @@
 """Bit-cell electrics: frozen current levels, sensing truth tables,
 variation statistics and the Monte Carlo failure machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri
 
 from sttcim.device import (
     ConfigError,
     DeviceParams,
     VariationSpec,
     cell_current,
+    cell_factors,
     current_levels,
     failure_report_csv,
     load_device_config,
     monte_carlo_failures,
-    sample_cell,
     sense_bit,
 )
 from sttcim.streams import hash_words, uniforms, unit_normals
@@ -126,8 +130,6 @@ def test_sample_cell_statistics():
     p = DeviceParams()
     var = VariationSpec()
     n = 200000
-    from sttcim.device import cell_factors
-
     factor, r_t = cell_factors(p, var, 42, np.arange(n, dtype=np.uint64))
     r_p_eff = p.r_p * factor
     # Lognormal-over-(1+area): median of log should sit near log(r_p).
@@ -139,14 +141,79 @@ def test_sample_cell_statistics():
 def test_sample_cell_matches_vector_path():
     p = DeviceParams()
     var = VariationSpec()
-    s = sample_cell(p, var, 9, 12345)
-    from sttcim.device import cell_factors
-
+    batch_factor, batch_r_t = cell_factors(p, var, 9, np.arange(12340, 12350, dtype=np.uint64))
     factor, r_t = cell_factors(p, var, 9, np.array([12345], dtype=np.uint64))
-    assert s.r_p_eff == pytest.approx(float(p.r_p * factor[0]), rel=REL)
-    assert s.r_ap_eff == pytest.approx(float(p.r_ap * factor[0]), rel=REL)
-    assert s.r_t_eff == pytest.approx(float(r_t[0]), rel=REL)
-    assert s.r_ap_eff / s.r_p_eff == pytest.approx(p.r_ap / p.r_p, rel=REL)
+    assert factor.shape == r_t.shape == (1,)
+    assert factor[0] == batch_factor[5]
+    assert r_t[0] == batch_r_t[5]
+
+
+@pytest.mark.parametrize("scale", [1.0, 8.0])  # 8x rehashes about 1% of the cells
+def test_cell_factors_independent_of_index_order(scale):
+    p = DeviceParams()
+    var = VariationSpec().scaled(scale)
+    idx = np.arange(5000, 25000, dtype=np.uint64)
+    factor, r_t = cell_factors(p, var, 11, idx)
+    perm = np.random.default_rng(1).permutation(idx.size)
+    pfactor, pr_t = cell_factors(p, var, 11, idx[perm].reshape(50, 400))
+    assert np.array_equal(pfactor.ravel(), factor[perm])
+    assert np.array_equal(pr_t.ravel(), r_t[perm])
+
+
+# Out-of-place stream formulas, kept here as the reference for the in-place
+# implementation in sttcim.streams.
+_REF_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _ref_mix64(x):
+    x = np.asarray(x, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+
+def _ref_hash_words(seed, indices):
+    idx = np.asarray(indices, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        state = _ref_mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _REF_GOLDEN)[()]
+        return _ref_mix64(state + (idx + np.uint64(1)) * _REF_GOLDEN)
+
+
+def _ref_uniforms(seed, indices):
+    w = _ref_hash_words(seed, indices)
+    return (w >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+
+
+def _ref_unit_normals(seed, indices):
+    return ndtri(_ref_uniforms(seed, indices))
+
+
+_U64_MAX = 2**64 - 1
+_stream_shapes = st.one_of(
+    st.tuples(st.integers(0, 40)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.lists(st.integers(1, 4), max_size=2).map(lambda dims: (*dims, 3)),
+)
+_stream_indices = _stream_shapes.flatmap(lambda shape: arrays(
+    np.uint64, shape,
+    elements=st.one_of(st.integers(0, _U64_MAX), st.integers(_U64_MAX - 64, _U64_MAX))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32), st.integers(-(2**63), _U64_MAX)),
+       indices=_stream_indices)
+def test_streams_match_out_of_place_reference(seed, indices):
+    before = indices.copy()
+    for fn, ref in ((hash_words, _ref_hash_words), (uniforms, _ref_uniforms),
+                    (unit_normals, _ref_unit_normals)):
+        got, want = fn(seed, indices), ref(seed, indices)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if indices.size:  # one scalar index gives the same value as a numpy scalar
+            one = fn(seed, int(indices.flat[0]))
+            assert type(one) is type(want.flat[0]) and one == want.flat[0]
+    assert np.array_equal(indices, before)  # the in-place pipeline works on its own copy
 
 
 def test_zero_variation_never_fails():
@@ -168,6 +235,52 @@ def test_monte_carlo_chunk_invariance():
     assert a.margin_low == pytest.approx(b.margin_low, rel=1e-12)
     assert a.margin_high == pytest.approx(b.margin_high, rel=1e-12)
     assert a.mean_cim_per_cell_current == pytest.approx(b.mean_cim_per_cell_current, rel=1e-12)
+
+
+def test_monte_carlo_rejects_bad_chunk():
+    for chunk in (0, -5):
+        with pytest.raises(ValueError, match="chunk must be positive"):
+            monte_carlo_failures(DeviceParams(), VariationSpec(), 100, seed=1, chunk=chunk)
+
+
+# repr of every FailureReport field, recorded with the unblocked per-chunk
+# evaluation: n = 2^17 + 777, seed 2024, default chunk and chunk=1111.
+_FIELD_PINS = {
+    0.5: (
+        ("131849", "0.0", "8.34287707908289e-05", "4.529994715194087e-06",
+         "4.857806139690612e-06", "2.3054492295305066e-06", "1.165499588982453e-06", "1.0"),
+        ("131849", "0.0", "8.34287707908289e-05", "4.529994715194084e-06",
+         "4.857806139690614e-06", "2.3054492295305058e-06", "1.1654995889824535e-06", "1.0"),
+    ),
+    1.0: (
+        ("131849", "0.00015168867416514347", "0.04131999484258508", "4.5296531345095094e-06",
+         "4.857368895445593e-06", "2.304424743977706e-06", "1.1655972973830113e-06", "1.0"),
+        ("131849", "0.00015168867416514347", "0.04131999484258508", "4.529653134509508e-06",
+         "4.857368895445594e-06", "2.3044247439777056e-06", "1.165597297383011e-06", "1.0"),
+    ),
+    2.0: (
+        ("131849", "0.0430340768606512", "0.3148905186994213", "4.528669983907457e-06",
+         "4.856060071056418e-06", "2.3013224493071743e-06", "1.1655661727924948e-06", "1.0"),
+        ("131849", "0.0430340768606512", "0.3148905186994213", "4.528669983907457e-06",
+         "4.856060071056416e-06", "2.3013224493071743e-06", "1.165566172792495e-06", "1.0"),
+    ),
+    8.0: (  # rehashes about 1% of the cells
+        ("131849", "0.6020447633277461", "0.9377014615203756", "4.533888043685844e-06",
+         "4.858463880295149e-06", "2.2686201610109152e-06", "1.1639836333323565e-06", "1.0"),
+        ("131849", "0.6020447633277461", "0.9377014615203756", "4.533888043685843e-06",
+         "4.85846388029515e-06", "2.2686201610109144e-06", "1.163983633332357e-06", "1.0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", sorted(_FIELD_PINS))
+def test_monte_carlo_exact_fields_pinned(scale):
+    n = (1 << 17) + 777
+    var = VariationSpec().scaled(scale)
+    for kwargs, pinned in zip(({}, {"chunk": 1111}), _FIELD_PINS[scale]):
+        rep = monte_carlo_failures(DeviceParams(), var, n, seed=2024, **kwargs)
+        got = tuple(repr(getattr(rep, f.name)) for f in dataclasses.fields(rep))
+        assert got == pinned, kwargs
 
 
 def test_failure_rates_grow_with_sigma():
