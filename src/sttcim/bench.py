@@ -4,11 +4,11 @@ Six kernels, each in a scalar baseline plus whichever accelerated variants
 its shape admits:
 
 * xorcipher (elementwise pair): A[i] ^= B[i].  In-array variant produced
-  by the program transform.
+  by the program transform, one rewrite.
 * blit (two elementwise passes over three arrays): S &= M, then D |= S.
   In-array variant produced by the transform, two rewrites.
-* vecsum (pair reduction): sum of A[i] + B[i].  Transform variant plus
-  4- and 8-lane vector variants.
+* vecsum (pair reduction): sum of A[i] + B[i].  Transform variant (one
+  rewrite) plus 4- and 8-lane vector variants.
 * strmatch (pattern scan): count occurrences of an M-word pattern in an
   N-word text.  Hand-written in-array variant over a replicated-pattern
   layout; the early-exit control flow is beyond the transform's windows.
@@ -25,6 +25,13 @@ the vector match-count table) happens before the counters reset.  Spare
 row broadcasts (SPWR) are instructions, so they run inside the measured
 region.
 
+The cim mode of the three transform kernels is the rewriter's output on the
+baseline under the kernel's placement plan (``_PLANNERS``).  run_kernel and
+transform_pair fail unless the rewriter makes the number of rewrites listed
+in ``_REWRITES`` (none for the other kernels).
+
+A kernel's result is the fold of its output address range, read after the
+counters and energy are taken; a one-word range folds to the word itself.
 Each run validates its result against a Python reference before reporting,
 so a cycle or energy number from a wrong computation cannot escape.
 
@@ -37,7 +44,7 @@ reported anyway because the vector variants build on the same layout.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .cimarray import ArrayConfig, CimArray, SPARE_ALIAS
@@ -81,6 +88,9 @@ DEFAULT_SIZES: dict[str, int] = {
 
 _PATTERN_WORDS = 2  # strmatch pattern length
 
+# Rewrites the transform makes on each kernel's baseline; the rest make none.
+_REWRITES: dict[str, int] = {"xorcipher": 1, "blit": 2, "vecsum": 1}
+
 
 class BenchError(RuntimeError):
     """A kernel produced a wrong result or an expected rewrite failed."""
@@ -107,17 +117,11 @@ class _Setup:
     program: Program
     prime: Callable[[CimArray], None]
     reference: int
-    read_result: Callable[[CimArray, Cpu], int]
-    rewrites: int = 0
+    outputs: range
 
 
 def _words(rng: random.Random, n: int) -> list[int]:
     return [rng.getrandbits(32) for _ in range(n)]
-
-
-def _peek(arr: CimArray, addr: int) -> int:
-    """Word inspection for result checking; stays out of the read counter."""
-    return arr.read_word(addr, count=False)
 
 
 def _fold(values) -> int:
@@ -125,13 +129,6 @@ def _fold(values) -> int:
     for v in values:
         acc = (acc * 0x01000193 ^ v) & MASK32
     return acc
-
-
-def _require_rewrites(report, expected: int, kernel: str):
-    if len(report.rewrites) != expected:
-        raise BenchError(
-            f"{kernel}: transform made {len(report.rewrites)} rewrites, expected {expected}"
-        )
 
 
 # -- kernel builders ---------------------------------------------------------
@@ -166,15 +163,6 @@ def _setup_xorcipher(mode, n, seed, config):
         BNE r1, r3, loop
         HALT
     """
-    prog = parse_program(src)
-    rewrites = 0
-    if mode == "cim":
-        rep = transform(prog, plan)
-        _require_rewrites(rep, 1, "xorcipher")
-        prog = rep.program
-        rewrites = 1
-    elif mode != "base":
-        raise BenchError(f"xorcipher has no mode {mode!r}")
 
     def prime(arr):
         for i in range(n):
@@ -182,11 +170,7 @@ def _setup_xorcipher(mode, n, seed, config):
             arr.write_word(plan.address("B", i), b[i])
 
     reference = _fold((x ^ y) & MASK32 for x, y in zip(a, b))
-
-    def read_result(arr, cpu):
-        return _fold(_peek(arr, plan.address("A", i)) for i in range(n))
-
-    return _Setup(prog, prime, reference, read_result, rewrites)
+    return _Setup(parse_program(src), prime, reference, range(base, base + n))
 
 
 def _blit_plan(config: ArrayConfig, n: int) -> MapPlan:
@@ -235,15 +219,6 @@ def _setup_blit(mode, n, seed, config):
         BNE r8, r10, merge_pass
         HALT
     """
-    prog = parse_program(src)
-    rewrites = 0
-    if mode == "cim":
-        rep = transform(prog, plan)
-        _require_rewrites(rep, 2, "blit")
-        prog = rep.program
-        rewrites = 2
-    elif mode != "base":
-        raise BenchError(f"blit has no mode {mode!r}")
 
     def prime(arr):
         for i in range(n):
@@ -253,11 +228,7 @@ def _setup_blit(mode, n, seed, config):
 
     masked = [(s & m) & MASK32 for s, m in zip(sprite, mask)]
     reference = _fold((d | s) & MASK32 for d, s in zip(dest, masked))
-
-    def read_result(arr, cpu):
-        return _fold(_peek(arr, 2 * n + i) for i in range(n))
-
-    return _Setup(prog, prime, reference, read_result, rewrites)
+    return _Setup(parse_program(src), prime, reference, range(2 * n, 3 * n))
 
 
 def _setup_vecsum(mode, n, seed, config):
@@ -269,31 +240,24 @@ def _setup_vecsum(mode, n, seed, config):
     base = plan.address("A", 0)
     bbase = plan.address("B", 0)
     out = 2 * config.words_per_bank  # first word of an unused bank
-    src = f"""
-        ADDI r1, r0, {base}
-        ADDI r2, r0, {bbase}
-        ADDI r3, r0, {base + n}
-        ADDI r4, r0, 0
-    loop:
-        LDW r5, 0(r1)
-        LDW r6, 0(r2)
-        ADD r7, r5, r6
-        ADD r4, r4, r7
-        ADDI r1, r1, 1
-        ADDI r2, r2, 1
-        BNE r1, r3, loop
-        STW r4, {out}(r0)
-        HALT
-    """
-    rewrites = 0
-    if mode in ("base", "cim"):
-        prog = parse_program(src)
-        if mode == "cim":
-            rep = transform(prog, plan)
-            _require_rewrites(rep, 1, "vecsum")
-            prog = rep.program
-            rewrites = 1
-    elif mode in ("vec4", "vec8"):
+    if mode == "base":
+        prog = parse_program(f"""
+            ADDI r1, r0, {base}
+            ADDI r2, r0, {bbase}
+            ADDI r3, r0, {base + n}
+            ADDI r4, r0, 0
+        loop:
+            LDW r5, 0(r1)
+            LDW r6, 0(r2)
+            ADD r7, r5, r6
+            ADD r4, r4, r7
+            ADDI r1, r1, 1
+            ADDI r2, r2, 1
+            BNE r1, r3, loop
+            STW r4, {out}(r0)
+            HALT
+        """)
+    else:
         lanes = int(mode[3:])
         if n % lanes:
             raise BenchError("n must be a lane multiple")
@@ -311,8 +275,6 @@ def _setup_vecsum(mode, n, seed, config):
             STW r4, {out}(r0)
             HALT
         """)
-    else:
-        raise BenchError(f"vecsum has no mode {mode!r}")
 
     def prime(arr):
         for i in range(n):
@@ -320,15 +282,13 @@ def _setup_vecsum(mode, n, seed, config):
             arr.write_word(plan.address("B", i), b[i])
 
     reference = sum((x + y) for x, y in zip(a, b)) & MASK32
-
-    def read_result(arr, cpu):
-        return _peek(arr, out)
-
-    return _Setup(prog, prime, reference, read_result, rewrites)
+    return _Setup(prog, prime, reference, range(out, out + 1))
 
 
 def _setup_strmatch(mode, n, seed, config):
     m = _PATTERN_WORDS
+    if n < 4 * m - 3:  # the match planted at 3n/4 must end inside the text
+        raise BenchError(f"strmatch needs n >= {4 * m - 3}, got {n}")
     rng = random.Random(seed)
     text = _words(rng, n)
     pattern = _words(rng, m)
@@ -346,6 +306,8 @@ def _setup_strmatch(mode, n, seed, config):
     if mode == "base":
         t_base = 0
         p_base = config.words_per_bank  # pattern copy in the next bank
+        if n > p_base:
+            raise BenchError(f"strmatch/base needs n <= {p_base} (the pattern copy), got {n}")
         src = f"""
             ADDI r1, r0, {t_base}
             ADDI r3, r0, {t_base + positions}
@@ -373,7 +335,7 @@ def _setup_strmatch(mode, n, seed, config):
             for j, w in enumerate(pattern):
                 arr.write_word(p_base + j, w)
 
-    elif mode == "cim":
+    else:
         plan = plan_type3(config, n, m)
         _single_segment(plan, "T")
         t_base = plan.address("T", 0)
@@ -409,124 +371,7 @@ def _setup_strmatch(mode, n, seed, config):
             for j, w in enumerate(pattern):
                 arr.write_replicated(0, j, w)
 
-    else:
-        raise BenchError(f"strmatch has no mode {mode!r}")
-
-    def read_result(arr, cpu):
-        return _peek(arr, out)
-
-    return _Setup(prog, prime, reference, read_result)
-
-
-def _scalar_reduce_sources(kind, n, base, out, key, lanes=None, table_base=None):
-    """Shared program shapes for the broadcast-scalar kernels."""
-    alias_hi = SPARE_ALIAS >> 16
-    if kind == "editdist-base":
-        return f"""
-            ADDI r1, r0, {base}
-            ADDI r3, r0, {base + n}
-            ADDI r4, r0, 0
-            ADDI r11, r0, {key}
-        loop:
-            LDW r5, 0(r1)
-            XOR r6, r5, r11
-            BNE r6, r0, differ
-            ADDI r4, r4, 1
-        differ:
-            ADDI r1, r1, 1
-            BNE r1, r3, loop
-            STW r4, {out}(r0)
-            HALT
-        """
-    if kind == "editdist-cim":
-        return f"""
-            ADDI r11, r0, {key}
-            SPWR r11, 1
-            ADDI r1, r0, {base}
-            LUI r2, {alias_hi}
-            ADDI r3, r0, {base + n}
-            ADDI r4, r0, 0
-        loop:
-            CIMXOR r6, r1, r2
-            BNE r6, r0, differ
-            ADDI r4, r4, 1
-        differ:
-            ADDI r1, r1, 1
-            ADDI r2, r2, 1
-            BNE r1, r3, loop
-            STW r4, {out}(r0)
-            HALT
-        """
-    if kind == "editdist-vec":
-        return f"""
-            ADDI r11, r0, {key}
-            SPWR r11, 1
-            ADDI r1, r0, {base}
-            LUI r2, {alias_hi}
-            ADDI r3, r0, {base + n}
-            ADDI r4, r0, 0
-            ADDI r12, r0, {table_base}
-        loop:
-            VCIM.XOR.ZCMP.{lanes} r6, r1, r2
-            ADD r7, r12, r6
-            LDW r8, 0(r7)
-            ADD r4, r4, r8
-            ADDI r1, r1, {lanes}
-            ADDI r2, r2, {lanes}
-            BNE r1, r3, loop
-            STW r4, {out}(r0)
-            HALT
-        """
-    if kind == "saxpy-base":
-        return f"""
-            ADDI r1, r0, {base}
-            ADDI r3, r0, {base + n}
-            ADDI r4, r0, 0
-            ADDI r11, r0, {key}
-        loop:
-            LDW r5, 0(r1)
-            ADD r6, r5, r11
-            ADD r4, r4, r6
-            ADDI r1, r1, 1
-            BNE r1, r3, loop
-            STW r4, {out}(r0)
-            HALT
-        """
-    if kind == "saxpy-cim":
-        return f"""
-            ADDI r11, r0, {key}
-            SPWR r11, 1
-            ADDI r1, r0, {base}
-            LUI r2, {alias_hi}
-            ADDI r3, r0, {base + n}
-            ADDI r4, r0, 0
-        loop:
-            CIMADD r6, r1, r2
-            ADD r4, r4, r6
-            ADDI r1, r1, 1
-            ADDI r2, r2, 1
-            BNE r1, r3, loop
-            STW r4, {out}(r0)
-            HALT
-        """
-    if kind == "saxpy-vec":
-        return f"""
-            ADDI r11, r0, {key}
-            SPWR r11, 1
-            ADDI r1, r0, {base}
-            LUI r2, {alias_hi}
-            ADDI r3, r0, {base + n}
-            ADDI r4, r0, 0
-        loop:
-            VCIM.ADD.SUM.{lanes} r6, r1, r2
-            ADD r4, r4, r6
-            ADDI r1, r1, {lanes}
-            ADDI r2, r2, {lanes}
-            BNE r1, r3, loop
-            STW r4, {out}(r0)
-            HALT
-        """
-    raise BenchError(f"unknown source kind {kind!r}")
+    return _Setup(prog, prime, reference, range(out, out + 1))
 
 
 def _setup_editdist(mode, n, seed, config):
@@ -544,18 +389,64 @@ def _setup_editdist(mode, n, seed, config):
     table_base = config.words_per_bank  # 256 match-count entries in bank 1
 
     if mode == "base":
-        src = _scalar_reduce_sources("editdist-base", n, base, out, key)
+        src = f"""
+            ADDI r1, r0, {base}
+            ADDI r3, r0, {base + n}
+            ADDI r4, r0, 0
+            ADDI r11, r0, {key}
+        loop:
+            LDW r5, 0(r1)
+            XOR r6, r5, r11
+            BNE r6, r0, differ
+            ADDI r4, r4, 1
+        differ:
+            ADDI r1, r1, 1
+            BNE r1, r3, loop
+            STW r4, {out}(r0)
+            HALT
+        """
     elif mode == "cim":
-        src = _scalar_reduce_sources("editdist-cim", n, base, out, key)
-    elif mode in ("vec4", "vec8"):
+        src = f"""
+            ADDI r11, r0, {key}
+            SPWR r11, 1
+            ADDI r1, r0, {base}
+            LUI r2, {SPARE_ALIAS >> 16}
+            ADDI r3, r0, {base + n}
+            ADDI r4, r0, 0
+        loop:
+            CIMXOR r6, r1, r2
+            BNE r6, r0, differ
+            ADDI r4, r4, 1
+        differ:
+            ADDI r1, r1, 1
+            ADDI r2, r2, 1
+            BNE r1, r3, loop
+            STW r4, {out}(r0)
+            HALT
+        """
+    else:
         lanes = int(mode[3:])
         if n % lanes:
             raise BenchError("n must be a lane multiple")
-        src = _scalar_reduce_sources(
-            "editdist-vec", n, base, out, key, lanes=lanes, table_base=table_base
-        )
-    else:
-        raise BenchError(f"editdist has no mode {mode!r}")
+        src = f"""
+            ADDI r11, r0, {key}
+            SPWR r11, 1
+            ADDI r1, r0, {base}
+            LUI r2, {SPARE_ALIAS >> 16}
+            ADDI r3, r0, {base + n}
+            ADDI r4, r0, 0
+            ADDI r12, r0, {table_base}
+        loop:
+            VCIM.XOR.ZCMP.{lanes} r6, r1, r2
+            ADD r7, r12, r6
+            LDW r8, 0(r7)
+            ADD r4, r4, r8
+            ADDI r1, r1, {lanes}
+            ADDI r2, r2, {lanes}
+            BNE r1, r3, loop
+            STW r4, {out}(r0)
+            HALT
+        """
     prog = parse_program(src)
     needs_table = mode.startswith("vec")
 
@@ -568,10 +459,7 @@ def _setup_editdist(mode, n, seed, config):
                 matches = lanes - bin(mask_val).count("1")
                 arr.write_word(table_base + mask_val, matches)
 
-    def read_result(arr, cpu):
-        return _peek(arr, out)
-
-    return _Setup(prog, prime, reference, read_result)
+    return _Setup(prog, prime, reference, range(out, out + 1))
 
 
 def _setup_saxpy(mode, n, seed, config):
@@ -585,28 +473,67 @@ def _setup_saxpy(mode, n, seed, config):
     out = 3 * config.words_per_bank
 
     if mode == "base":
-        src = _scalar_reduce_sources("saxpy-base", n, base, out, a_val)
+        src = f"""
+            ADDI r1, r0, {base}
+            ADDI r3, r0, {base + n}
+            ADDI r4, r0, 0
+            ADDI r11, r0, {a_val}
+        loop:
+            LDW r5, 0(r1)
+            ADD r6, r5, r11
+            ADD r4, r4, r6
+            ADDI r1, r1, 1
+            BNE r1, r3, loop
+            STW r4, {out}(r0)
+            HALT
+        """
     elif mode == "cim":
-        src = _scalar_reduce_sources("saxpy-cim", n, base, out, a_val)
-    elif mode in ("vec4", "vec8"):
+        src = f"""
+            ADDI r11, r0, {a_val}
+            SPWR r11, 1
+            ADDI r1, r0, {base}
+            LUI r2, {SPARE_ALIAS >> 16}
+            ADDI r3, r0, {base + n}
+            ADDI r4, r0, 0
+        loop:
+            CIMADD r6, r1, r2
+            ADD r4, r4, r6
+            ADDI r1, r1, 1
+            ADDI r2, r2, 1
+            BNE r1, r3, loop
+            STW r4, {out}(r0)
+            HALT
+        """
+    else:
         lanes = int(mode[3:])
         if n % lanes:
             raise BenchError("n must be a lane multiple")
-        src = _scalar_reduce_sources("saxpy-vec", n, base, out, a_val, lanes=lanes)
-    else:
-        raise BenchError(f"saxpy_add has no mode {mode!r}")
-    prog = parse_program(src)
+        src = f"""
+            ADDI r11, r0, {a_val}
+            SPWR r11, 1
+            ADDI r1, r0, {base}
+            LUI r2, {SPARE_ALIAS >> 16}
+            ADDI r3, r0, {base + n}
+            ADDI r4, r0, 0
+        loop:
+            VCIM.ADD.SUM.{lanes} r6, r1, r2
+            ADD r4, r4, r6
+            ADDI r1, r1, {lanes}
+            ADDI r2, r2, {lanes}
+            BNE r1, r3, loop
+            STW r4, {out}(r0)
+            HALT
+        """
 
     def prime(arr):
         for i in range(n):
             arr.write_word(plan.address("A", i), x[i])
 
-    def read_result(arr, cpu):
-        return _peek(arr, out)
-
-    return _Setup(prog, prime, reference, read_result)
+    return _Setup(parse_program(src), prime, reference, range(out, out + 1))
 
 
+# run_kernel has checked the mode; the cim modes of _REWRITES come from the
+# rewriter, so those builders only make the baseline.
 _BUILDERS = {
     "xorcipher": _setup_xorcipher,
     "blit": _setup_blit,
@@ -626,21 +553,34 @@ _PLANNERS = {
 }
 
 
+def _rewritten(kernel: str, n: int, seed: int, config: ArrayConfig):
+    """Baseline setup, its transform report under the kernel's plan, and the
+    plan; raises unless the transform makes the kernel's expected rewrites."""
+    setup = _BUILDERS[kernel]("base", n, seed, config)
+    plan = _PLANNERS[kernel](config, n)
+    report = transform(setup.program, plan)
+    expected = _REWRITES.get(kernel, 0)
+    if len(report.rewrites) != expected:
+        raise BenchError(
+            f"{kernel}: transform made {len(report.rewrites)} rewrites, expected {expected}"
+        )
+    return setup, report, plan
+
+
 def transform_pair(kernel: str, n: int | None = None, seed: int = 7,
                    config: ArrayConfig | None = None):
     """Baseline program, its transform report, and the placement plan.
 
     Kernels whose baselines contain no eligible windows (early-exit scans,
     register-held scalars) come back with zero rewrites; that is the
-    expected answer, not a failure.
+    expected answer.  Any other rewrite count than ``_REWRITES`` lists
+    raises BenchError.
     """
     if kernel not in _BUILDERS:
         raise BenchError(f"unknown kernel {kernel!r}")
     cfg = config if config is not None else ArrayConfig()
     size = n if n is not None else DEFAULT_SIZES[kernel]
-    setup = _BUILDERS[kernel]("base", size, seed, cfg)
-    plan = _PLANNERS[kernel](cfg, size)
-    report = transform(setup.program, plan)
+    setup, report, plan = _rewritten(kernel, size, seed, cfg)
     return setup.program, report, plan
 
 
@@ -653,15 +593,20 @@ def run_kernel(kernel: str, mode: str, n: int | None = None, latency: int = 1,
         raise BenchError(f"{kernel} has no mode {mode!r}")
     cfg = config if config is not None else ArrayConfig()
     size = n if n is not None else DEFAULT_SIZES[kernel]
-    setup = _BUILDERS[kernel](mode, size, seed, cfg)
+    if mode == "cim" and kernel in _REWRITES:
+        setup, report, _ = _rewritten(kernel, size, seed, cfg)
+        setup = replace(setup, program=report.program)
+        rewrites = len(report.rewrites)
+    else:
+        setup = _BUILDERS[kernel](mode, size, seed, cfg)
+        rewrites = 0
     arr = CimArray(cfg)
     setup.prime(arr)
     arr.counters.reset()
-    cpu = Cpu(arr, setup.program, memory_latency=latency)
-    res = cpu.run()
+    res = Cpu(arr, setup.program, memory_latency=latency).run()
     counters = arr.counters.as_dict()
     energy = account(arr.counters)
-    result = setup.read_result(arr, cpu)
+    result = _fold(arr.read_word(a) for a in setup.outputs)
     if result != setup.reference:
         raise BenchError(
             f"{kernel}/{mode}: result {result:#x} != reference {setup.reference:#x}"
@@ -669,7 +614,7 @@ def run_kernel(kernel: str, mode: str, n: int | None = None, latency: int = 1,
     return KernelRun(
         kernel=kernel, mode=mode, n=size, latency=latency, seed=seed,
         cycles=res.cycles, instructions=res.instructions,
-        program_length=len(setup.program), rewrites=setup.rewrites,
+        program_length=len(setup.program), rewrites=rewrites,
         result=result, counters=counters, energy=energy,
     )
 

@@ -51,6 +51,7 @@ layout ``access * 2^20 + column`` and pack their decisions once.
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,7 @@ __all__ = [
     "InjectedColumnNoise",
     "DeviceColumnSampler",
     "CimArray",
+    "selftest",
 ]
 
 
@@ -405,10 +407,9 @@ class CimArray:
             self.counters.corrected_words += 1
         return res.data
 
-    def read_word(self, addr, count: bool = True) -> int:
+    def read_word(self, addr) -> int:
         sensed = self._sense_read(self._resolve(addr))
-        if count:
-            self.counters.reads += 1
+        self.counters.reads += 1
         return self._decode_read(sensed)
 
     def _nm_read(self, a: tuple[int, int, int]) -> int:
@@ -524,27 +525,27 @@ class CimArray:
                 acc |= (1 if lane != 0 else 0) << k
         return acc
 
-    # -- diagnostics -------------------------------------------------------
 
-    def selftest(self, seed: int = 0, words: int = 64) -> None:
-        """Randomized logic and addition check on a noise-free shadow array;
-        raises AssertionError on any mismatch."""
-        import random
+# -- diagnostics ---------------------------------------------------------------
 
-        rng = random.Random(seed)
-        shadow = CimArray(self.config)
-        mask = (1 << self.config.word_width) - 1
-        a_addr = Addr(0, 0, 0)
-        b_addr = Addr(0, 1, 0)
-        for _ in range(words):
-            a = rng.getrandbits(self.config.word_width)
-            b = rng.getrandbits(self.config.word_width)
-            shadow.write_word(a_addr, a)
-            shadow.write_word(b_addr, b)
-            for op in _TWO_ROW_OPS:
-                got, accesses = shadow.cim_word(op, a_addr, b_addr)
-                assert accesses == 1
-                assert got == shadow._alu(op, a, b), (op, a, b)
-            got, _ = shadow.cim_not(a_addr)
-            assert got == a ^ mask
-            assert shadow.read_word(a_addr) == a
+
+def selftest(config: ArrayConfig, seed: int = 0, words: int = 64) -> None:
+    """Randomized logic and addition check on a noise-free array of the given
+    configuration; raises AssertionError on any mismatch."""
+    rng = random.Random(seed)
+    arr = CimArray(config)
+    mask = (1 << config.word_width) - 1
+    a_addr = Addr(0, 0, 0)
+    b_addr = Addr(0, 1, 0)
+    for _ in range(words):
+        a = rng.getrandbits(config.word_width)
+        b = rng.getrandbits(config.word_width)
+        arr.write_word(a_addr, a)
+        arr.write_word(b_addr, b)
+        for op in _TWO_ROW_OPS:
+            got, accesses = arr.cim_word(op, a_addr, b_addr)
+            assert accesses == 1
+            assert got == arr._alu(op, a, b), (op, a, b)
+        got, _ = arr.cim_not(a_addr)
+        assert got == a ^ mask
+        assert arr.read_word(a_addr) == a

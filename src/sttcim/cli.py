@@ -24,7 +24,7 @@ from .bench import (
     latency_sweep,
     run_kernel,
 )
-from .cimarray import ArrayConfig, CimArray
+from .cimarray import ArrayConfig, selftest
 from .cpu import AsmError, format_program, parse_program
 from .device import (
     ConfigError,
@@ -151,9 +151,7 @@ def _cmd_ecc_prove(args) -> int:
 
 
 def _cmd_array_selftest(args) -> int:
-    cfg = ArrayConfig(code=args.code)
-    arr = CimArray(cfg)
-    arr.selftest(seed=args.seed, words=args.words)
+    selftest(ArrayConfig(code=args.code), seed=args.seed, words=args.words)
     _write_out(args, f"selftest ok: {args.words} random op words on code={args.code}\n")
     return 0
 

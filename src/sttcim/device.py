@@ -472,27 +472,31 @@ def load_device_config(path) -> tuple[DeviceParams, VariationSpec]:
                 raise ConfigError(f"{path}:{lineno}: bad number for {key!r}") from exc
 
     if "mtj_side_nm" in values and "mtj_area_um2" in values:
-        raise ConfigError("give mtj_side_nm or mtj_area_um2, not both")
+        raise ConfigError(f"{path}: give mtj_side_nm or mtj_area_um2, not both")
     area = values.get("mtj_area_um2")
     if "mtj_side_nm" in values:
         side_um = values["mtj_side_nm"] * 1e-3
         area = side_um * side_um
 
-    params = DeviceParams(
-        ra_product=values.get("ra_product_ohm_um2", DeviceParams.ra_product),
-        tmr=values.get("tmr_pct", DeviceParams.tmr * 100.0) / 100.0,
-        mtj_area=area if area is not None else DeviceParams.mtj_area,
-        access_resistance=values.get("access_resistance_ohm", DeviceParams.access_resistance),
-        read_voltage=values.get("read_voltage_v", DeviceParams.read_voltage),
-        ref_resistance=values.get("ref_resistance_ohm"),
-        sl_resistance=values.get("sl_resistance_ohm", DeviceParams.sl_resistance),
-    )
     default_var = VariationSpec()
-    variation = VariationSpec(
-        sigma_tox=values.get("tox_sigma_pct", default_var.sigma_tox * 100.0) / 100.0,
-        sigma_area=values.get("area_sigma_pct", default_var.sigma_area * 100.0) / 100.0,
-        sigma_vt=values.get("vt_sigma_pct", default_var.sigma_vt * 100.0) / 100.0,
-        tox_sensitivity=values.get("tox_sensitivity", default_var.tox_sensitivity),
-        vt_sensitivity=values.get("vt_sensitivity", default_var.vt_sensitivity),
-    )
+    try:
+        params = DeviceParams(
+            ra_product=values.get("ra_product_ohm_um2", DeviceParams.ra_product),
+            tmr=values.get("tmr_pct", DeviceParams.tmr * 100.0) / 100.0,
+            mtj_area=area if area is not None else DeviceParams.mtj_area,
+            access_resistance=values.get("access_resistance_ohm",
+                                         DeviceParams.access_resistance),
+            read_voltage=values.get("read_voltage_v", DeviceParams.read_voltage),
+            ref_resistance=values.get("ref_resistance_ohm"),
+            sl_resistance=values.get("sl_resistance_ohm", DeviceParams.sl_resistance),
+        )
+        variation = VariationSpec(
+            sigma_tox=values.get("tox_sigma_pct", default_var.sigma_tox * 100.0) / 100.0,
+            sigma_area=values.get("area_sigma_pct", default_var.sigma_area * 100.0) / 100.0,
+            sigma_vt=values.get("vt_sigma_pct", default_var.sigma_vt * 100.0) / 100.0,
+            tox_sensitivity=values.get("tox_sensitivity", default_var.tox_sensitivity),
+            vt_sensitivity=values.get("vt_sensitivity", default_var.vt_sensitivity),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return params, variation

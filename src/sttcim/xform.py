@@ -245,7 +245,8 @@ def _fold(known: dict[int, int] | None, ins: Instruction) -> dict[int, int] | No
         val = _FOLD[op](known[a[1]], known[a[2]])
     else:
         for w in _uses(ins)[1]:
-            known.pop(w, None)
+            if w != 0:  # the CPU discards r0 writes
+                known.pop(w, None)
         return known
     if a[0] != 0:
         known[a[0]] = val & 0xFFFFFFFFFFFFFFFF

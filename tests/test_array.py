@@ -20,6 +20,7 @@ from sttcim.cimarray import (
     IdealSampler,
     InjectedColumnNoise,
     SPARE_ALIAS,
+    selftest,
 )
 from sttcim.device import DeviceParams, VariationSpec
 
@@ -97,8 +98,8 @@ def test_logic_and_add_against_alu():
 
 
 def test_selftest_passes_on_default_geometry():
-    CimArray().selftest(seed=1, words=16)
-    CimArray(ArrayConfig(code="secded")).selftest(seed=2, words=8)
+    selftest(ArrayConfig(), seed=1, words=16)
+    selftest(ArrayConfig(code="secded"), seed=2, words=8)
 
 
 def test_operand_alignment_enforced():

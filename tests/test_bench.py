@@ -1,5 +1,6 @@
 import pytest
 
+from sttcim import bench
 from sttcim.bench import (
     BenchError,
     DEFAULT_SIZES,
@@ -7,6 +8,7 @@ from sttcim.bench import (
     latency_sweep,
     marginal_speedup,
     run_kernel,
+    transform_pair,
 )
 
 
@@ -141,3 +143,107 @@ def test_bad_kernel_and_mode_raise():
         run_kernel("vecsum", "vec16")
     with pytest.raises(BenchError):
         run_kernel("strmatch", "vec8")
+
+
+# Every kernel x mode at n = 64, seed 7, latency 1: cycles, instructions,
+# program length, rewrites, result, nonzero counters and the energy repr.
+_PINNED_N64 = {
+    ("xorcipher", "base"): (
+        644, 452, 11, 0, 0x62d929c3,
+        {"reads": 128, "writes": 64},
+        "EnergyBreakdown(read=127.99999999999999, write=192.0, cim=0.0, nm_corrections=0.0)"),
+    ("xorcipher", "cim"): (
+        452, 324, 9, 1, 0x62d929c3,
+        {"writes": 64, "cim_ops": 64},
+        "EnergyBreakdown(read=0.0, write=192.0, cim=84.22400000000002, nm_corrections=0.0)"),
+    ("blit", "base"): (
+        1287, 903, 21, 0, 0xddf2f6e4,
+        {"reads": 256, "writes": 128},
+        "EnergyBreakdown(read=255.99999999999997, write=384.0, cim=0.0, nm_corrections=0.0)"),
+    ("blit", "cim"): (
+        903, 647, 17, 2, 0xddf2f6e4,
+        {"writes": 128, "cim_ops": 128},
+        "EnergyBreakdown(read=0.0, write=384.0, cim=168.44800000000004, nm_corrections=0.0)"),
+    ("vecsum", "base"): (
+        583, 454, 13, 0, 0xcaf487ef,
+        {"reads": 128, "writes": 1},
+        "EnergyBreakdown(read=127.99999999999999, write=3.0, cim=0.0, nm_corrections=0.0)"),
+    ("vecsum", "cim"): (
+        391, 326, 11, 1, 0xcaf487ef,
+        {"writes": 1, "cim_ops": 64},
+        "EnergyBreakdown(read=0.0, write=3.0, cim=84.22400000000002, nm_corrections=0.0)"),
+    ("vecsum", "vec4"): (
+        103, 86, 11, 0, 0xcaf487ef,
+        {"writes": 1, "vcim_ops": 16, "vcim_lanes": 64},
+        "EnergyBreakdown(read=0.0, write=3.0, cim=28.256000000000007, nm_corrections=0.0)"),
+    ("vecsum", "vec8"): (
+        55, 46, 11, 0, 0xcaf487ef,
+        {"writes": 1, "vcim_ops": 8, "vcim_lanes": 64},
+        "EnergyBreakdown(read=0.0, write=3.0, cim=18.928000000000004, nm_corrections=0.0)"),
+    ("strmatch", "base"): (
+        460, 329, 15, 0, 0x00000002,
+        {"reads": 130, "writes": 1},
+        "EnergyBreakdown(read=129.99999999999997, write=3.0, cim=0.0, nm_corrections=0.0)"),
+    ("strmatch", "cim"): (
+        399, 333, 17, 0, 0x00000002,
+        {"writes": 1, "cim_ops": 65},
+        "EnergyBreakdown(read=0.0, write=3.0, cim=85.54000000000002, nm_corrections=0.0)"),
+    ("editdist", "base"): (
+        392, 327, 12, 0, 0x00000001,
+        {"reads": 64, "writes": 1},
+        "EnergyBreakdown(read=63.99999999999999, write=3.0, cim=0.0, nm_corrections=0.0)"),
+    ("editdist", "cim"): (
+        395, 329, 14, 0, 0x00000001,
+        {"writes": 1, "special_writes": 1, "cim_ops": 64},
+        "EnergyBreakdown(read=0.0, write=7.5, cim=84.22400000000002, nm_corrections=0.0)"),
+    ("editdist", "vec4"): (
+        155, 121, 16, 0, 0x00000001,
+        {"reads": 16, "writes": 1, "special_writes": 1, "vcim_ops": 16, "vcim_lanes": 64},
+        "EnergyBreakdown(read=15.999999999999998, write=7.5, cim=28.256000000000007, nm_corrections=0.0)"),
+    ("editdist", "vec8"): (
+        83, 65, 16, 0, 0x00000001,
+        {"reads": 8, "writes": 1, "special_writes": 1, "vcim_ops": 8, "vcim_lanes": 64},
+        "EnergyBreakdown(read=7.999999999999999, write=7.5, cim=18.928000000000004, nm_corrections=0.0)"),
+    ("saxpy_add", "base"): (
+        391, 326, 11, 0, 0x361bb4b0,
+        {"reads": 64, "writes": 1},
+        "EnergyBreakdown(read=63.99999999999999, write=3.0, cim=0.0, nm_corrections=0.0)"),
+    ("saxpy_add", "cim"): (
+        394, 328, 13, 0, 0x361bb4b0,
+        {"writes": 1, "special_writes": 1, "cim_ops": 64},
+        "EnergyBreakdown(read=0.0, write=7.5, cim=84.22400000000002, nm_corrections=0.0)"),
+    ("saxpy_add", "vec4"): (
+        106, 88, 13, 0, 0x361bb4b0,
+        {"writes": 1, "special_writes": 1, "vcim_ops": 16, "vcim_lanes": 64},
+        "EnergyBreakdown(read=0.0, write=7.5, cim=28.256000000000007, nm_corrections=0.0)"),
+    ("saxpy_add", "vec8"): (
+        58, 48, 13, 0, 0x361bb4b0,
+        {"writes": 1, "special_writes": 1, "vcim_ops": 8, "vcim_lanes": 64},
+        "EnergyBreakdown(read=0.0, write=7.5, cim=18.928000000000004, nm_corrections=0.0)"),
+}
+
+
+@pytest.mark.parametrize("kernel, mode", list(_PINNED_N64))
+def test_every_run_record_pinned(kernel, mode):
+    r = run_kernel(kernel, mode, n=64)
+    cycles, instructions, length, rewrites, result, counters, energy = _PINNED_N64[kernel, mode]
+    assert (r.cycles, r.instructions, r.program_length, r.rewrites, r.result) == (
+        cycles, instructions, length, rewrites, result)
+    assert {k: v for k, v in r.counters.items() if v} == counters
+    assert repr(r.energy) == energy
+
+
+@pytest.mark.parametrize("kernel", ["xorcipher", "blit", "vecsum"])
+def test_rewritten_mode_runs_the_transform_pair_program(kernel, monkeypatch):
+    ran = []
+
+    class RecordingCpu(bench.Cpu):
+        def __init__(self, array, program, **kwargs):
+            ran.append(program)
+            super().__init__(array, program, **kwargs)
+
+    monkeypatch.setattr(bench, "Cpu", RecordingCpu)
+    run = run_kernel(kernel, "cim", n=64)
+    _, report, _ = transform_pair(kernel, n=64)
+    assert ran == [report.program]
+    assert run.rewrites == len(report.rewrites) > 0

@@ -93,6 +93,20 @@ def test_bench_sweep_csv(capsys):
     assert lines[2].startswith("16,1.857")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--n", "4"], "strmatch needs n >= 5, got 4"),
+    (["run", "--mode", "cim", "--n", "1"], "strmatch needs n >= 5, got 1"),
+    (["sweep", "--mode", "cim", "--n", "8"], "strmatch needs n >= 5, got 4"),
+    (["run", "--mode", "base", "--n", "3000"],
+     "strmatch/base needs n <= 2048 (the pattern copy), got 3000"),
+])
+def test_strmatch_size_limits_fail_cleanly(argv, message, capsys):
+    assert main(["bench", *argv, "--kernel", "strmatch"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bench failed: {message}\n"
+
+
 def test_xform_unreadable_input_fails_cleanly(tmp_path, capsys):
     missing = tmp_path / "missing.asm"
     assert main(["xform", str(missing), "--n", "32"]) == 2
@@ -187,12 +201,21 @@ def test_device_mc_bad_input_fails_cleanly(tmp_path, capsys):
     bad_number.write_text("tmr_pct = abc\n")
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"tmr_pct = \xff\n")
+    negative_tmr = tmp_path / "negative_tmr.cfg"
+    negative_tmr.write_text("tmr_pct = -5\n")
+    negative_sigma = tmp_path / "negative_sigma.cfg"
+    negative_sigma.write_text("tox_sigma_pct = -1\n")
+    both_sizes = tmp_path / "both_sizes.cfg"
+    both_sizes.write_text("mtj_side_nm = 40\nmtj_area_um2 = 0.0016\n")
     cases = [
         (["--config", str(missing)], f"cannot read {missing}: No such file or directory"),
         (["--config", str(tmp_path)], f"cannot read {tmp_path}: Is a directory"),
         (["--config", str(malformed)], f"{malformed}:1: unknown key 'tmr'"),
         (["--config", str(bad_number)], f"{bad_number}:1: bad number for 'tmr_pct'"),
         (["--config", str(binary)], f"{binary}: 'utf-8' codec can't decode byte 0xff"),
+        (["--config", str(negative_tmr)], f"{negative_tmr}: tmr must be positive"),
+        (["--config", str(negative_sigma)], f"{negative_sigma}: sigmas must be non-negative"),
+        (["--config", str(both_sizes)], f"{both_sizes}: give mtj_side_nm or mtj_area_um2"),
         (["--scale", "100"], "variation draws kept producing non-positive resistances"),
     ]
     for extra, message in cases:

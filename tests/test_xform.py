@@ -61,6 +61,24 @@ def test_straightline_rewrite_and_equivalence():
     assert cim_cycles < base_cycles
 
 
+@pytest.mark.parametrize("prefix", ["ADDI r0, r9, 1", "LDW r0, 0(r9)", "ADD r0, r9, r9"])
+def test_write_to_r0_keeps_r0_known_zero(prefix):
+    # The CPU discards r0 writes, so the addresses below stay const-proved.
+    src = f"""
+        {prefix}
+        ADDI r1, r0, 5
+        ADDI r2, r0, 21
+        LDW r3, 0(r1)
+        LDW r4, 0(r2)
+        XOR r5, r3, r4
+        STW r5, 100(r0)
+        HALT
+    """
+    rep = transform(parse_program(src), PLAN)
+    assert [(r.kind, r.proof) for r in rep.rewrites] == [("CIMXOR", "const")]
+    assert verify_equivalence(parse_program(src), rep.program, PLAN)
+
+
 def test_straightline_misaligned_not_rewritten():
     src = """
         ADDI r1, r0, 5
