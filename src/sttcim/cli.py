@@ -24,7 +24,7 @@ from .bench import (
     latency_sweep,
     run_kernel,
 )
-from .cimarray import ArrayConfig, selftest
+from .cimarray import ArrayConfig, SelftestError, selftest
 from .cpu import AsmError, format_program, parse_program
 from .device import (
     ConfigError,
@@ -151,7 +151,11 @@ def _cmd_ecc_prove(args) -> int:
 
 
 def _cmd_array_selftest(args) -> int:
-    selftest(ArrayConfig(code=args.code), seed=args.seed, words=args.words)
+    try:
+        selftest(ArrayConfig(code=args.code), seed=args.seed, words=args.words)
+    except SelftestError as exc:
+        print(f"array selftest failed: {exc}", file=sys.stderr)
+        return 1
     _write_out(args, f"selftest ok: {args.words} random op words on code={args.code}\n")
     return 0
 

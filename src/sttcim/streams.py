@@ -20,17 +20,20 @@ import numpy as np
 from scipy.special import ndtri
 
 _U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+# splitmix64 finalizer rounds, x ^= x >> shift then x *= mult mod 2^64,
+# followed by x ^= x >> 31.
+_ROUNDS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_GOLDEN = _U64(_GOLDEN_INT)
+_ROUNDS_U64 = tuple((_U64(shift), _U64(mult)) for shift, mult in _ROUNDS)
 _WORDS, _UNIFORMS, _NORMALS = range(3)
 
 
 def _mix64_inplace(x: np.ndarray) -> None:
     """splitmix64 finalizer of a uint64 array, overwriting it."""
     t = np.empty_like(x)
-    for shift, mult in ((_U64(30), _MIX1), (_U64(27), _MIX2)):
+    for shift, mult in _ROUNDS_U64:
         np.right_shift(x, shift, out=t)
         np.bitwise_xor(x, t, out=x)
         np.multiply(x, mult, out=x)  # array ufuncs wrap mod 2^64 without a warning
@@ -38,17 +41,16 @@ def _mix64_inplace(x: np.ndarray) -> None:
     np.bitwise_xor(x, t, out=x)
 
 
-def mix64(x):
-    """splitmix64 finalizer, elementwise over uint64 arrays or scalars."""
-    x = np.array(x, dtype=np.uint64)
-    _mix64_inplace(x)
-    return x if x.ndim else x[()]
-
-
 def seed_state(seed: int) -> np.uint64:
-    """Pre-mixed seed word; decorrelates nearby integer seeds."""
-    with np.errstate(over="ignore"):
-        return mix64(_U64(seed & _MASK64) + _GOLDEN)
+    """Pre-mixed seed word; decorrelates nearby integer seeds.
+
+    The splitmix64 finalizer of seed + golden ratio, in Python ints: a 0-d
+    numpy version costs about as much as hashing 50 indices.
+    """
+    x = (seed + _GOLDEN_INT) & _MASK64
+    for shift, mult in _ROUNDS:
+        x = ((x ^ (x >> shift)) * mult) & _MASK64
+    return _U64(x ^ (x >> 31))
 
 
 def _draw(seed: int, indices, stage: int):

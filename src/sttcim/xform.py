@@ -59,7 +59,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .cimarray import Addr, ArrayConfig, CimArray, SPARE_ALIAS
+from .cimarray import ArrayConfig, CimArray, SPARE_ALIAS
 from .cpu import Cpu, CpuFault, Instruction, Program
 from .mapper import MapPlan
 
@@ -95,18 +95,21 @@ def addresses_aligned(config: ArrayConfig, addr_a: int, addr_b: int) -> bool:
     """True iff the pair satisfies the two-row access constraints."""
 
     def resolve(linear):
+        """(bank, row, group), the same split as CimArray._resolve."""
         spare = linear >= SPARE_ALIAS
         base = linear - SPARE_ALIAS if spare else linear
         if not 0 <= base < config.total_words:
             return None
-        a = Addr.from_linear(config, base)
-        return Addr(a.bank, config.spare_row if spare else a.row, a.group)
+        rows, group = divmod(base, config.words_per_row)
+        bank, row = divmod(rows, config.data_rows)
+        return bank, config.spare_row if spare else row, group
 
     a = resolve(addr_a)
     b = resolve(addr_b)
     if a is None or b is None:
         return False
-    return a.bank == b.bank and a.group == b.group and a.row != b.row
+    (bank_a, row_a, group_a), (bank_b, row_b, group_b) = a, b
+    return bank_a == bank_b and group_a == group_b and row_a != row_b
 
 
 def _uses(ins: Instruction) -> tuple[set[int], set[int]]:

@@ -22,7 +22,8 @@ from sttcim.cimarray import (
     SPARE_ALIAS,
     selftest,
 )
-from sttcim.device import DeviceParams, VariationSpec
+from sttcim.device import ConfigError, DeviceParams, VariationSpec, cell_factors
+from sttcim.streams import uniforms
 
 
 def test_control_table_frozen():
@@ -366,3 +367,146 @@ def test_noisy_access_sequence_pinned(config, sampler, digest, counters):
     # ops, recorded before sensing moved to int masks: any change to the
     # per-access draw layout or the noise-to-comparator mapping shows here.
     assert _golden_run(config, sampler, seed=7) == (digest, counters)
+
+
+# -- blocked samplers against per-access references -----------------------------
+# The samplers as they were before block prefetch: one draw call per access,
+# decisions through 0/1 arrays.  The device reference takes its slots as a
+# parameter; all eight is the old draw, (0, 1, 2, 3, 5, 7) the six it senses.
+
+
+def _ref_bit_array(word, n):
+    raw = np.frombuffer(word.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
+
+
+def _ref_mask(decisions):
+    return int.from_bytes(np.packbits(decisions, bitorder="little").tobytes(), "little")
+
+
+class _RefInjected:
+    def __init__(self, p, seed):
+        self.p, self.seed = p, seed
+
+    def _draws(self, access, n):
+        ent = np.uint64(access) * np.uint64(SPARE_ALIAS) + np.arange(n, dtype=np.uint64)
+        return uniforms(self.seed, ent)
+
+    def sense_read(self, access, word, n):
+        return word ^ _ref_mask(self._draws(access, n) < self.p)
+
+    def sense_pair(self, access, a, b, n):
+        u = self._draws(access, n)
+        hit = _ref_mask(u < self.p)
+        low = _ref_mask(u < 0.5 * self.p)
+        either, both, one = a | b, a & b, a ^ b
+        o_or = (either | (hit & ~either)) & ~(low & one)
+        o_and = (both & ~hit) | (hit & ~low & one)
+        return o_or, o_and
+
+
+class _RefDevice:
+    def __init__(self, variation, seed, slots=tuple(range(8))):
+        self.params, self.variation, self.seed, self.slots = DeviceParams(), variation, seed, slots
+
+    def _cells(self, access, n):
+        cells = (access * SPARE_ALIAS + np.arange(n, dtype=np.uint64)[:, None]) * np.uint64(8)
+        factor, r_t = cell_factors(self.params, self.variation, self.seed,
+                                   cells + np.array(self.slots, dtype=np.uint64))
+        full = np.full((n, 8), np.nan), np.full((n, 8), np.nan)
+        full[0][:, self.slots], full[1][:, self.slots] = factor, r_t
+        return full
+
+    def _currents(self, factor, r_t, slot, r_nominal):
+        return self.params.read_voltage / (r_t[:, slot] + r_nominal * factor[:, slot])
+
+    def sense_read(self, access, word, n):
+        p = self.params
+        factor, r_t = self._cells(access, n)
+        r_cell = np.where(_ref_bit_array(word, n) == 1, p.r_p, p.r_ap) * factor[:, 0]
+        i_cell = p.read_voltage / (r_t[:, 0] + r_cell)
+        return _ref_mask(i_cell > self._currents(factor, r_t, 2, p.r_ref))
+
+    def sense_pair(self, access, a, b, n):
+        p = self.params
+        factor, r_t = self._cells(access, n)
+        r_a = np.where(_ref_bit_array(a, n) == 1, p.r_p, p.r_ap) * factor[:, 0]
+        r_b = np.where(_ref_bit_array(b, n) == 1, p.r_p, p.r_ap) * factor[:, 1]
+        i_sl = p.read_voltage / (r_t[:, 0] + r_a) + p.read_voltage / (r_t[:, 1] + r_b)
+        i_ref_or = self._currents(factor, r_t, 2, p.r_ref) + self._currents(factor, r_t, 3, p.r_ap)
+        i_ref_and = self._currents(factor, r_t, 5, p.r_ref) + self._currents(factor, r_t, 7, p.r_p)
+        return _ref_mask(i_sl > i_ref_or), _ref_mask(i_sl > i_ref_and)
+
+
+def _sense(sampler, call):
+    """One sampler call, or the ConfigError it raised."""
+    access, n, pair, a, b = call
+    try:
+        if pair:
+            return sampler.sense_pair(access, a, b, n)
+        return sampler.sense_read(access, a, n)
+    except ConfigError:
+        return ConfigError
+
+
+# Segments of consecutive access ids (long enough for blocks to reach their
+# cap), joined by repeats, gaps, steps backwards and far jumps, as a sampler
+# shared between arrays or driven by hand would see; n changes between
+# segments (72 columns, a 64-bit secded word, spans two 64-bit lanes).
+_segments = st.lists(
+    st.tuples(st.one_of(st.sampled_from((1, 0, 2, 63, -1, -64)), st.integers(-300, 300)),
+              st.integers(1, 100), st.sampled_from((27, 51, 72))),
+    min_size=1, max_size=6)
+
+
+def _drive(blocked, reference, seed, start, segments):
+    rng = random.Random(seed)
+    access = start
+    for step, run, n in segments:
+        access = max(0, access + step)
+        for access in range(access, access + run):
+            call = (access, n, rng.random() < 0.5, rng.getrandbits(n), rng.getrandbits(n))
+            assert _sense(blocked, call) == _sense(reference, call), call
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(p=st.sampled_from((1e-3, 1e-2, 0.5)), seed=st.integers(0, 2**32),
+       start=st.integers(0, 5000), segments=_segments)
+def test_blocked_injected_noise_matches_per_access(p, seed, start, segments):
+    _drive(InjectedColumnNoise(p, seed=seed), _RefInjected(p, seed), seed, start, segments)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(scale=st.sampled_from((0.5, 1.0, 2.0)), seed=st.integers(0, 2**32),
+       start=st.integers(0, 5000), segments=_segments)
+def test_blocked_device_sampler_matches_per_access(scale, seed, start, segments):
+    variation = VariationSpec().scaled(scale)
+    _drive(DeviceColumnSampler(variation=variation, seed=seed), _RefDevice(variation, seed),
+           seed, start, segments)
+
+
+def test_blocked_device_sampler_raises_where_its_access_runs_out():
+    # At 14x variation about one cell in 2,000 stays non-positive through
+    # every retry, so some accesses raise and most of their block does not
+    # (15 of these 200).  The blocked sampler must raise at exactly the
+    # accesses a per-access six-slot draw raises at, and serve the rest
+    # unchanged.
+    variation = VariationSpec().scaled(14.0)
+    blocked = DeviceColumnSampler(variation=variation, seed=5)
+    sensed = _RefDevice(variation, 5, slots=(0, 1, 2, 3, 5, 7))
+    eight = _RefDevice(variation, 5)
+    rng = random.Random(5)
+    got, want, old = [], [], []
+    for access in range(1, 201):
+        call = (access, 27, access % 2 == 0, rng.getrandbits(27), rng.getrandbits(27))
+        got.append(_sense(blocked, call))
+        want.append(_sense(sensed, call))
+        old.append(_sense(eight, call))
+    assert got == want
+    raised = [k for k, r in enumerate(want) if r is ConfigError]
+    assert 0 < len(raised) < 50
+    # Blocks start at 16 accesses: the first raising access shares its block
+    # with accesses served normally.
+    assert raised[0] < 16
+    # Cells in the unsensed slots 4 and 6 no longer raise for their access.
+    assert set(raised) < {k for k, r in enumerate(old) if r is ConfigError}

@@ -30,6 +30,23 @@ def test_array_selftest(capsys):
     assert "selftest ok" in capsys.readouterr().out
 
 
+def test_array_selftest_fails_under_python_dash_o():
+    # A broken reference ALU must fail the selftest even with asserts
+    # compiled out.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from sttcim import cimarray; from sttcim.cli import main; "
+            "cimarray.CimArray._alu = lambda self, op, a, b: 0; "
+            "sys.exit(main(['array', 'selftest', '--words', '4']))")
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("array selftest failed: AND of ")
+    assert res.stderr.count("\n") == 1
+
+
 def test_map_plan_text(capsys):
     assert main(["map", "plan", "--pattern", "type2", "--n", "100"]) == 0
     out = capsys.readouterr().out

@@ -22,7 +22,7 @@ from sttcim.device import (
     monte_carlo_failures,
     sense_bit,
 )
-from sttcim.streams import hash_words, uniforms, unit_normals
+from sttcim.streams import hash_words, seed_state, uniforms, unit_normals
 
 REL = 1e-12
 
@@ -214,6 +214,14 @@ def test_streams_match_out_of_place_reference(seed, indices):
             one = fn(seed, int(indices.flat[0]))
             assert type(one) is type(want.flat[0]) and one == want.flat[0]
     assert np.array_equal(indices, before)  # the in-place pipeline works on its own copy
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**63, 2**64 - 1, 2**64 + 5])
+def test_seed_state_matches_numpy_formula(seed):
+    with np.errstate(over="ignore"):
+        want = _ref_mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _REF_GOLDEN)[()]
+    got = seed_state(seed)
+    assert type(got) is np.uint64 and got == want
 
 
 def test_zero_variation_never_fails():
