@@ -48,7 +48,9 @@ word_width included.  Noisy samplers draw from the stream layout
 ``access * 2^20 + column``, a block of consecutive access ids per draw call
 (the array numbers its accesses 1, 2, 3, ...), and keep each access's
 decisions as int masks; every draw is a pure function of (seed, access,
-column), so the block changes no sensed bit.
+column), so the block changes no sensed bit.  The device sampler draws only
+the cells ``device.SENSED_SLOTS`` names and evaluates them with
+``device.sensed_levels``, the code the variation Monte Carlo runs.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ConfigError, DeviceParams, VariationSpec, cell_factors
+from .device import (CELLS_PER_SAMPLE, SENSED_SLOTS, ConfigError, DeviceParams, VariationSpec,
+                     cell_factors, sensed_levels)
 from .ecc import DecodeStatus, make_code
 from .streams import uniforms
 
@@ -317,9 +320,9 @@ class DeviceColumnSampler(_BlockSampler):
     data cells and both three-cell reference stacks, all from the same
     deterministic stream layout the Monte Carlo uses (an access owns a
     2^20-column window of entity indices, each entity eight cells).  Only
-    the six cells sensing reads are drawn: the data cells (slots 0, 1),
-    the read and AP cells of the left stack (2, 3) and the REF and P cells
-    of the right stack (5, 7).
+    the six cells sensing reads are drawn; ``device.SENSED_SLOTS`` names
+    them and ``device.sensed_levels`` turns their draws into the data
+    cells' resistances and the reference currents, as in the Monte Carlo.
 
     Draws come a block of consecutive accesses at a time.  Per access and
     column the sampler keeps the decision for every stored-bit state: the
@@ -328,9 +331,6 @@ class DeviceColumnSampler(_BlockSampler):
     each as an int mask.  Sensing then selects by the stored bits.
     """
 
-    _SLOTS = 8
-    _SENSED = (0, 1, 2, 3, 5, 7)
-
     def __init__(self, params: DeviceParams | None = None,
                  variation: VariationSpec | None = None, seed: int = 0):
         self.params = params if params is not None else DeviceParams()
@@ -338,19 +338,17 @@ class DeviceColumnSampler(_BlockSampler):
         self.seed = seed
 
     def _fill(self, first, count, n):
-        p = self.params
-        v = p.read_voltage
+        v = self.params.read_voltage
         # Entity access * SPARE_ALIAS + column owns cells entity * 8 + slot;
-        # row k holds slot _SENSED[k] of every (access, column).
+        # row k holds sensed slot k of every (access, column).
         accesses = np.arange(first, first + count, dtype=np.uint64)
         entities = (accesses * np.uint64(SPARE_ALIAS))[:, None] + np.arange(n, dtype=np.uint64)
-        cells = entities * np.uint64(self._SLOTS) + np.array(self._SENSED, np.uint64)[:, None, None]
-        f, r_t = cell_factors(p, self.variation, self.seed, cells)
-        i_a = (v / (r_t[0] + p.r_ap * f[0]), v / (r_t[0] + p.r_p * f[0]))
-        i_b = (v / (r_t[1] + p.r_ap * f[1]), v / (r_t[1] + p.r_p * f[1]))
-        i_ref = v / (r_t[2] + p.r_ref * f[2])
-        i_ref_or = i_ref + v / (r_t[3] + p.r_ap * f[3])
-        i_ref_and = v / (r_t[4] + p.r_ref * f[4]) + v / (r_t[5] + p.r_p * f[5])
+        cells = (entities * np.uint64(CELLS_PER_SAMPLE)
+                 + np.array(SENSED_SLOTS, np.uint64)[:, None, None])
+        f, r_t = cell_factors(self.params, self.variation, self.seed, cells)
+        r_a, r_b, i_ref, i_ref_or, i_ref_and = sensed_levels(self.params, f, r_t)
+        i_a = [v / r for r in r_a]
+        i_b = [v / r for r in r_b]
         # Per access: read decisions for a stored 0 and 1, then the or- and
         # the and-decisions for the states (a, b) = 00, 01, 10, 11.
         i_sl = [i_a[a] + i_b[b] for a in (0, 1) for b in (0, 1)]

@@ -80,11 +80,19 @@ def _latency_list(text: str) -> list[int]:
     return values
 
 
-def _write_out(args, text: str) -> None:
+def _write_out(args, text: str) -> int:
+    """Print text and copy it to --out if given; the exit code, 2 if the
+    copy cannot be written."""
     print(text, end="" if text.endswith("\n") else "\n")
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+            print(f"{command} failed: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+    return 0
 
 
 def _cmd_device_mc(args) -> int:
@@ -101,8 +109,7 @@ def _cmd_device_mc(args) -> int:
     except ConfigError as exc:
         message = str(exc)
     else:
-        _write_out(args, failure_report_csv(rep))
-        return 0
+        return _write_out(args, failure_report_csv(rep))
     print(f"device mc failed: {message}", file=sys.stderr)
     return 2
 
@@ -146,8 +153,7 @@ def _cmd_ecc_prove(args) -> int:
             f"{args.code}/{args.data_bits} {goal} weight {weight}: {ok}/{args.trials} {verdict}"
         )
         failures += ok != args.trials
-    _write_out(args, "\n".join(lines) + "\n")
-    return 1 if failures else 0
+    return _write_out(args, "\n".join(lines) + "\n") or (1 if failures else 0)
 
 
 def _cmd_array_selftest(args) -> int:
@@ -156,8 +162,7 @@ def _cmd_array_selftest(args) -> int:
     except SelftestError as exc:
         print(f"array selftest failed: {exc}", file=sys.stderr)
         return 1
-    _write_out(args, f"selftest ok: {args.words} random op words on code={args.code}\n")
-    return 0
+    return _write_out(args, f"selftest ok: {args.words} random op words on code={args.code}\n")
 
 
 def _make_plan(args):
@@ -175,8 +180,7 @@ def _cmd_map_plan(args) -> int:
     except PlanError as exc:
         print(f"map plan failed: {exc}", file=sys.stderr)
         return 2
-    _write_out(args, plan.text())
-    return 0
+    return _write_out(args, plan.text())
 
 
 def _cmd_xform(args) -> int:
@@ -198,8 +202,7 @@ def _cmd_xform(args) -> int:
     for rw in report.rewrites:
         print(f"# rewrite @{rw.index}: {rw.kind} ({rw.proof})")
     print(f"# instructions {report.instructions_before} -> {report.instructions_after}")
-    _write_out(args, format_program(report.program))
-    return 0
+    return _write_out(args, format_program(report.program))
 
 
 def _cmd_bench_run(args) -> int:
@@ -214,8 +217,7 @@ def _cmd_bench_run(args) -> int:
     except (BenchError, PlanError) as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
         return 1
-    _write_out(args, "\n".join(lines) + "\n")
-    return 0
+    return _write_out(args, "\n".join(lines) + "\n")
 
 
 def _cmd_bench_sweep(args) -> int:
@@ -225,8 +227,7 @@ def _cmd_bench_sweep(args) -> int:
         print(f"bench failed: {exc}", file=sys.stderr)
         return 1
     text = "latency,speedup\n" + "".join(f"{lat},{s:.6f}\n" for lat, s in points)
-    _write_out(args, text)
-    return 0
+    return _write_out(args, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

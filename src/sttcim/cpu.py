@@ -26,10 +26,17 @@ Each memory instruction emits one ``BusTransaction``.  The bus has a
 single secondary channel shared by the second operand address and the
 write data, so no transaction may carry both; the constructor enforces it.
 
+``_ISA`` is the single description of this instruction set: one operand
+signature per mnemonic, the 16 ``VCIM.<OP>.<RED>.<N>`` forms included.  The
+assembler and the formatter are one loop each over a signature, and the
+rewriter's register roles (``_uses``) and the set of mnemonics that end in a
+label (``_LABEL_OPS``) are derived from it at import.
+
 A ``Cpu`` decodes its program once, at construction, into one handler per
 instruction: mnemonics are dispatched, branch labels resolved to indices
-(an unknown label is an ``AsmError`` there) and ``VCIM.*`` mnemonics split
-before the first step.  Stepping then costs one call per instruction.
+(an unknown label is an ``AsmError`` there) and ``VCIM.*`` mnemonics looked
+up as (op, lanes, reduction) before the first step.  Stepping then costs
+one call per instruction.
 """
 
 from __future__ import annotations
@@ -64,8 +71,55 @@ _CIM_OPS = {
     "CIMNOR": CimOp.NOR,
     "CIMADD": CimOp.ADD,
 }
-_VCIM_OPS = {"AND": CimOp.AND, "OR": CimOp.OR, "XOR": CimOp.XOR, "ADD": CimOp.ADD}
-_VCIM_REDUCES = {"SUM": "sum", "ZCMP": "zcmp"}
+# VCIM.<OP>.<RED>.<N> -> (op, lanes, reduction), one entry per vector form.
+_VCIM = {
+    f"VCIM.{name}.{red}.{lanes}": (op, lanes, reduce)
+    for name, op in (("AND", CimOp.AND), ("OR", CimOp.OR), ("XOR", CimOp.XOR), ("ADD", CimOp.ADD))
+    for red, reduce in (("SUM", "sum"), ("ZCMP", "zcmp"))
+    for lanes in (4, 8)
+}
+
+# Operand signatures, one character per operand.  w: register written,
+# r: register read, i: immediate, m: imm(reg) (two argument slots, offset
+# then base register, the base read), b/j: branch/jump label, o: optional
+# immediate (None when left out).
+_ISA = {
+    "HALT": "",
+    **dict.fromkeys(_ALU_OPS, "wrr"),
+    "NOT": "wr",
+    "ADDI": "wri",
+    "LUI": "wi",
+    "LDW": "wm",
+    "STW": "rm",
+    "BEQ": "rrb",
+    "BNE": "rrb",
+    "JMP": "j",
+    **dict.fromkeys(_CIM_OPS, "wrr"),
+    "CIMNOT": "wr",
+    **dict.fromkeys(_VCIM, "wrr"),
+    "SPWR": "ro",
+}
+# Mnemonics whose last operand is a label.
+_LABEL_OPS = frozenset(op for op, sig in _ISA.items() if sig[-1:] in ("b", "j"))
+
+
+def _slots(sig: str, kind: str) -> tuple[int, ...]:
+    """Argument indices of one kind; imm(reg) fills an i slot, then an r."""
+    return tuple(i for i, k in enumerate(sig.replace("m", "ir")) if k == kind)
+
+
+# (read, written) register argument indices per mnemonic.
+_ROLES = {op: (_slots(sig, "r"), _slots(sig, "w")) for op, sig in _ISA.items()}
+
+
+def _uses(ins: Instruction) -> tuple[set[int], set[int]]:
+    """(read registers, written registers) of one instruction."""
+    try:
+        reads, writes = _ROLES[ins.op]
+    except KeyError:
+        raise ValueError(f"unknown op {ins.op!r}") from None
+    a = ins.args
+    return {a[i] for i in reads}, {a[i] for i in writes}
 
 
 class AsmError(ValueError):
@@ -181,75 +235,36 @@ def parse_program(text: str) -> Program:
     prog = Program(instructions)
     labels = prog.label_map()
     for ins in instructions:
-        if ins.op in ("BEQ", "BNE"):
-            target = ins.args[2]
-            if target not in labels:
-                raise AsmError(f"line {ins.line}: unknown label {target!r}")
-        elif ins.op == "JMP":
-            if ins.args[0] not in labels:
-                raise AsmError(f"line {ins.line}: unknown label {ins.args[0]!r}")
+        if ins.op in _LABEL_OPS:
+            _target(labels, ins.args[-1], ins.line)
     return prog
 
 
 def _parse_one(op: str, args: list[str], line: int) -> Instruction:
-    def need(n):
-        if len(args) != n:
-            raise AsmError(f"line {line}: {op} takes {n} operands, got {len(args)}")
-
-    if op == "HALT":
-        need(0)
-        return Instruction(op, (), (), line)
-    if op in _ALU_OPS:
-        need(3)
-        return Instruction(op, (_reg(args[0], line), _reg(args[1], line), _reg(args[2], line)), (), line)
-    if op == "NOT":
-        need(2)
-        return Instruction(op, (_reg(args[0], line), _reg(args[1], line)), (), line)
-    if op == "ADDI":
-        need(3)
-        return Instruction(op, (_reg(args[0], line), _reg(args[1], line), _imm(args[2], line)), (), line)
-    if op == "LUI":
-        need(2)
-        return Instruction(op, (_reg(args[0], line), _imm(args[1], line)), (), line)
-    if op in ("LDW", "STW"):
-        need(2)
-        m = _MEM_RE.match(args[1].replace(" ", ""))
-        if not m:
-            raise AsmError(f"line {line}: expected imm(reg), got {args[1]!r}")
-        return Instruction(
-            op, (_reg(args[0], line), _imm(m.group(1), line), _reg(m.group(2), line)), (), line
-        )
-    if op in ("BEQ", "BNE"):
-        need(3)
-        if not _LABEL_RE.match(args[2]):
-            raise AsmError(f"line {line}: bad branch target {args[2]!r}")
-        return Instruction(op, (_reg(args[0], line), _reg(args[1], line), args[2]), (), line)
-    if op == "JMP":
-        need(1)
-        if not _LABEL_RE.match(args[0]):
-            raise AsmError(f"line {line}: bad jump target {args[0]!r}")
-        return Instruction(op, (args[0],), (), line)
-    if op in _CIM_OPS:
-        need(3)
-        return Instruction(op, (_reg(args[0], line), _reg(args[1], line), _reg(args[2], line)), (), line)
-    if op == "CIMNOT":
-        need(2)
-        return Instruction(op, (_reg(args[0], line), _reg(args[1], line)), (), line)
-    if op.startswith("VCIM."):
-        parts = op.split(".")
-        if len(parts) != 4 or parts[1] not in _VCIM_OPS or parts[2] not in _VCIM_REDUCES:
-            raise AsmError(f"line {line}: bad vector mnemonic {op!r}")
-        lanes = _imm(parts[3], line)
-        if lanes not in (4, 8):
-            raise AsmError(f"line {line}: vector lanes must be 4 or 8")
-        need(3)
-        return Instruction(op, (_reg(args[0], line), _reg(args[1], line), _reg(args[2], line)), (), line)
-    if op == "SPWR":
-        if len(args) == 1:
-            return Instruction(op, (_reg(args[0], line), None), (), line)
-        need(2)
-        return Instruction(op, (_reg(args[0], line), _imm(args[1], line)), (), line)
-    raise AsmError(f"line {line}: unknown mnemonic {op!r}")
+    sig = _ISA.get(op)
+    if sig is None:
+        what = "bad vector mnemonic" if op.startswith("VCIM.") else "unknown mnemonic"
+        raise AsmError(f"line {line}: {what} {op!r}")
+    if not len(sig) - sig.endswith("o") <= len(args) <= len(sig):
+        raise AsmError(f"line {line}: {op} takes {len(sig)} operands, got {len(args)}")
+    # Labels and imm(reg) operands are checked for shape before any register
+    # is read, so a line with several faults always reports the same one.
+    toks = []
+    for kind, tok in zip(sig, args):
+        if kind == "m":
+            m = _MEM_RE.match(tok.replace(" ", ""))
+            if not m:
+                raise AsmError(f"line {line}: expected imm(reg), got {tok!r}")
+            toks += m.groups()
+        elif kind in "bj" and not _LABEL_RE.match(tok):
+            noun = "branch" if kind == "b" else "jump"
+            raise AsmError(f"line {line}: bad {noun} target {tok!r}")
+        else:
+            toks.append(tok)
+    values = [tok if kind in "bj" else _reg(tok, line) if kind in "wr" else _imm(tok, line)
+              for kind, tok in zip(sig.replace("m", "ir"), toks)]
+    values += [None] * (len(sig) - len(args))
+    return Instruction(op, tuple(values), (), line)
 
 
 def format_program(prog: Program) -> str:
@@ -263,26 +278,20 @@ def format_program(prog: Program) -> str:
 
 
 def _format_one(ins: Instruction) -> str:
-    a = ins.args
-    if ins.op == "HALT":
-        return "HALT"
-    if ins.op in _ALU_OPS or ins.op in _CIM_OPS or ins.op.startswith("VCIM."):
-        return f"{ins.op} r{a[0]}, r{a[1]}, r{a[2]}"
-    if ins.op in ("NOT", "CIMNOT"):
-        return f"{ins.op} r{a[0]}, r{a[1]}"
-    if ins.op == "ADDI":
-        return f"ADDI r{a[0]}, r{a[1]}, {a[2]}"
-    if ins.op == "LUI":
-        return f"LUI r{a[0]}, {a[1]}"
-    if ins.op in ("LDW", "STW"):
-        return f"{ins.op} r{a[0]}, {a[1]}(r{a[2]})"
-    if ins.op in ("BEQ", "BNE"):
-        return f"{ins.op} r{a[0]}, r{a[1]}, {a[2]}"
-    if ins.op == "JMP":
-        return f"JMP {a[0]}"
-    if ins.op == "SPWR":
-        return f"SPWR r{a[0]}" if a[1] is None else f"SPWR r{a[0]}, {a[1]}"
-    raise AsmError(f"cannot format {ins.op!r}")
+    sig = _ISA.get(ins.op)
+    if sig is None:
+        raise AsmError(f"cannot format {ins.op!r}")
+    args = iter(ins.args)
+    parts = []
+    for kind in sig:
+        value = next(args)
+        if kind == "m":
+            parts.append(f"{value}(r{next(args)})")
+        elif kind in "wr":
+            parts.append(f"r{value}")
+        elif value is not None:
+            parts.append(f"{value}")
+    return f"{ins.op} {', '.join(parts)}" if parts else ins.op
 
 
 # -- decoded execution ------------------------------------------------------
@@ -424,7 +433,7 @@ def _bne(cpu, pc, x):
 
 
 def _jmp(cpu, pc, x):
-    return x, 0
+    return x[0], 0
 
 
 def _unknown(cpu, pc, x):
@@ -439,13 +448,16 @@ def _target(labels: dict[str, int], name: str, line: int) -> int:
 
 
 _PLAIN = {"HALT": _halt, "SLT": _slt, "NOT": _not, "ADDI": _addi, "LUI": _lui,
-          "LDW": _ldw, "STW": _stw, "CIMNOT": _cimnot}
+          "LDW": _ldw, "STW": _stw, "CIMNOT": _cimnot,
+          "BEQ": _beq, "BNE": _bne, "JMP": _jmp}
 # Ops whose only effect is a register write.
 _PURE = frozenset(("SLT", "NOT", "ADDI", "LUI", *_ALU_FNS))
 
 
 def _decode_one(ins: Instruction, labels: dict[str, int]):
     op, a = ins.op, ins.args
+    if op in _LABEL_OPS:
+        a = a[:-1] + (_target(labels, a[-1], ins.line),)
     if op in _PURE and a[0] == 0:  # r0 reads as zero: the write is dropped, the cycle stays
         return _nop, ()
     if op in _PLAIN:
@@ -454,16 +466,10 @@ def _decode_one(ins: Instruction, labels: dict[str, int]):
         return _alu, (_ALU_FNS[op],) + a
     if op in _CIM_OPS:
         return _cim, (_CIM_OPS[op],) + a
+    if op in _VCIM:
+        return _vcim, _VCIM[op] + a
     if op == "SPWR":
         return _spwr, a + (ins.line,)
-    if op in ("BEQ", "BNE"):
-        return (_beq if op == "BEQ" else _bne), (a[0], a[1], _target(labels, a[2], ins.line))
-    if op == "JMP":
-        return _jmp, _target(labels, a[0], ins.line)
-    parts = op.split(".")
-    if (len(parts) == 4 and parts[0] == "VCIM" and parts[1] in _VCIM_OPS
-            and parts[2] in _VCIM_REDUCES and parts[3] in ("4", "8")):
-        return _vcim, (_VCIM_OPS[parts[1]], int(parts[3]), _VCIM_REDUCES[parts[2]]) + a
     return _unknown, (op, ins.line)
 
 

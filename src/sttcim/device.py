@@ -58,6 +58,8 @@ __all__ = [
     "current_levels",
     "sense_bit",
     "cell_factors",
+    "SENSED_SLOTS",
+    "sensed_levels",
     "monte_carlo_failures",
     "load_device_config",
     "failure_report_csv",
@@ -225,22 +227,26 @@ def current_levels(params: DeviceParams) -> CurrentLevels:
 
 
 # Stream layout: each cell consumes three normals (tox, area, vt) at word
-# indices cell*3 + (0, 1, 2).  Retries for non-positive resistances rehash
-# far away in index space.
+# indices cell*3 + (0, 1, 2).  Retry k for non-positive resistances rehashes
+# at _RETRY_SHIFTS[k]: distinct nonzero multiples of 2^60, far above any base
+# index (a sensed column's draws stay below 2^45 up to access 2^20), so no
+# two attempts of a cell share a draw.  The first three, j * 2^62, belong to
+# the frozen stream layout: a cell that settles within three retries keeps
+# its values.
 _DRAWS_PER_CELL = 3
-_RETRY_STRIDE = 1 << 62
-_MAX_RETRIES = 8
+_RETRY_SHIFTS = (1 << 62, 2 << 62, 3 << 62, 1 << 61, 3 << 61, 5 << 61, 7 << 61, 1 << 60)
+_MAX_RETRIES = len(_RETRY_SHIFTS)
 
 # A Monte Carlo sample or a sensed column owns eight consecutive cell
 # indices: two data cells, then the left reference stack (REF, AP, P), then
-# the right stack (REF, AP, P).
+# the right stack (REF, AP, P).  Sensing reads six of them: the data cells,
+# the left REF and AP cells (read and or-references) and the right REF and P
+# cells (and-reference); slots 4 and 6 are never drawn.
 CELLS_PER_SAMPLE = 8
-_SLOT_A, _SLOT_B = 0, 1
-_SLOT_LREF, _SLOT_LAP, _SLOT_LP = 2, 3, 4
-_SLOT_RREF, _SLOT_RAP, _SLOT_RP = 5, 6, 7
+SENSED_SLOTS = (0, 1, 2, 3, 5, 7)
 
 # Monte Carlo samples evaluated together inside one summation chunk.  At
-# 2048 samples a block's 49,152 draws and its temporaries (under 2 MB) stay
+# 2048 samples a block's 36,864 draws and its temporaries (under 2 MB) stay
 # in a core's L2 cache; smaller blocks pay more per-call overhead.
 _BLOCK = 2048
 
@@ -268,12 +274,29 @@ def cell_factors(params, variation, seed, cell_indices):
         if retry == _MAX_RETRIES:
             raise ConfigError("variation draws kept producing non-positive resistances")
         # Rehash only the offending cells at a distant index range.
-        shift = np.uint64((retry + 1) * _RETRY_STRIDE & 0xFFFFFFFFFFFFFFFF)
-        with np.errstate(over="ignore"):
-            eps[:, bad] = unit_normals(seed, draws[:, bad] + shift)
+        eps[:, bad] = unit_normals(seed, draws[:, bad] + np.uint64(_RETRY_SHIFTS[retry]))
 
     factor = np.exp(variation.tox_sensitivity * variation.sigma_tox * eps_tox) / denom
     return factor, r_t
+
+
+def sensed_levels(params, factor, r_t):
+    """Series resistances of the data cells and the reference currents.
+
+    factor and r_t are cell_factors of the SENSED_SLOTS cells, one slot per
+    row along the first axis.  Returns (r_a, r_b, i_ref_read, i_ref_or,
+    i_ref_and): r_a and r_b are each data cell's access plus junction
+    resistance, indexed by the stored bit (0 anti-parallel, 1 parallel).
+    """
+    v = params.read_voltage
+    r_p, r_ap, r_ref = params.r_p, params.r_ap, params.r_ref
+    r_a = (r_t[0] + r_ap * factor[0], r_t[0] + r_p * factor[0])
+    r_b = (r_t[1] + r_ap * factor[1], r_t[1] + r_p * factor[1])
+    # Left stack supplies the read and OR references, right stack AND.
+    i_ref_read = v / (r_t[2] + r_ref * factor[2])
+    i_ref_or = i_ref_read + v / (r_t[3] + r_ap * factor[3])
+    i_ref_and = v / (r_t[4] + r_ref * factor[4]) + v / (r_t[5] + r_p * factor[5])
+    return r_a, r_b, i_ref_read, i_ref_or, i_ref_and
 
 
 def _disturb_per_cell(v, r_sl, r_self, r_other):
@@ -293,34 +316,21 @@ def _sample_block(params, variation, seed, first, terms):
     failures, CiM failures, all-below-read) counts.
     """
     v = params.read_voltage
-    r_p, r_ap, r_ref = params.r_p, params.r_ap, params.r_ref
     r_sl = params.sl_resistance
     m = terms.shape[1]
-    # Row s holds slot s of every sample, so each slot is one contiguous row.
+    # Row k holds sensed slot k of every sample, so each slot is one
+    # contiguous row.
     cells = np.arange(first, first + m, dtype=np.uint64) * np.uint64(CELLS_PER_SAMPLE)
-    cells = cells + np.arange(CELLS_PER_SAMPLE, dtype=np.uint64)[:, None]
+    cells = cells + np.array(SENSED_SLOTS, dtype=np.uint64)[:, None]
     factor, r_t = cell_factors(params, variation, seed, cells)
-
     # Data cells: both junction states share the cell's draws.
-    ra_p = r_p * factor[_SLOT_A]
-    ra_ap = r_ap * factor[_SLOT_A]
-    rb_p = r_p * factor[_SLOT_B]
-    rb_ap = r_ap * factor[_SLOT_B]
-    rta = r_t[_SLOT_A]
-    rtb = r_t[_SLOT_B]
+    (tot_a_ap, tot_a_p), (tot_b_ap, tot_b_p), i_ref_read, i_ref_or, i_ref_and = (
+        sensed_levels(params, factor, r_t))
 
-    ia_p = v / (rta + ra_p)
-    ia_ap = v / (rta + ra_ap)
-    ib_p = v / (rtb + rb_p)
-    ib_ap = v / (rtb + rb_ap)
-
-    # Left stack supplies the read and OR references, right stack AND.
-    i_ref_read = v / (r_t[_SLOT_LREF] + r_ref * factor[_SLOT_LREF])
-    i_ref_or = i_ref_read + v / (r_t[_SLOT_LAP] + r_ap * factor[_SLOT_LAP])
-    i_ref_and = (
-        v / (r_t[_SLOT_RREF] + r_ref * factor[_SLOT_RREF])
-        + v / (r_t[_SLOT_RP] + r_p * factor[_SLOT_RP])
-    )
+    ia_p = v / tot_a_p
+    ia_ap = v / tot_a_ap
+    ib_p = v / tot_b_p
+    ib_ap = v / tot_b_ap
 
     read_bad = (ia_p <= i_ref_read) | (ia_ap > i_ref_read)
 
@@ -340,8 +350,6 @@ def _sample_block(params, variation, seed, first, terms):
     np.subtract(i_ref_and, mid, out=margin_high)
 
     # Disturb proxy: shared series resistance enters here only.
-    tot_a_p, tot_a_ap = rta + ra_p, rta + ra_ap
-    tot_b_p, tot_b_ap = rtb + rb_p, rtb + rb_ap
     read_a_p = v / (r_sl + tot_a_p)
     read_a_ap = v / (r_sl + tot_a_ap)
     read_b_p = v / (r_sl + tot_b_p)
@@ -375,13 +383,14 @@ def monte_carlo_failures(
 ) -> FailureReport:
     """Estimate read and CiM decision-failure rates over n samples.
 
-    Each sample draws two data cells plus both reference stacks (references
-    are real cells and vary too).  A read fails if either stored state lands
-    on the wrong side of the sensed read reference; a CiM access fails if
-    any of the four state combinations thresholds wrong against the sensed
-    OR/AND references.  Counts are exact integers, so chunked accumulation
-    is order-independent.  Float means are summed once per chunk of
-    samples, so chunk fixes their last bits; chunk must be positive.
+    Each sample draws two data cells plus the four reference-stack cells
+    sensing enables (references are real cells and vary too).  A read fails
+    if either stored state lands on the wrong side of the sensed read
+    reference; a CiM access fails if any of the four state combinations
+    thresholds wrong against the sensed OR/AND references.  Counts are
+    exact integers, so chunked accumulation is order-independent.  Float
+    means are summed once per chunk of samples, so chunk fixes their last
+    bits; chunk must be positive.
     """
     if n <= 0:
         raise ValueError("n must be positive")

@@ -54,13 +54,12 @@ at entry.
 
 from __future__ import annotations
 
-import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
 
 from .cimarray import ArrayConfig, CimArray, SPARE_ALIAS
-from .cpu import Cpu, CpuFault, Instruction, Program
+from .cpu import _ALU_FNS, _LABEL_OPS, Cpu, CpuFault, Instruction, Program, _uses
 from .mapper import MapPlan
 
 __all__ = [
@@ -72,7 +71,9 @@ __all__ = [
 ]
 
 _OP_TO_CIM = {"ADD": "CIMADD", "AND": "CIMAND", "OR": "CIMOR", "XOR": "CIMXOR"}
-_BRANCHES = ("BEQ", "BNE")
+# Control flow never falls through these; with the label ops they end a block.
+_NO_FALLTHROUGH = frozenset(("JMP", "HALT"))
+_ENDS_BLOCK = _LABEL_OPS | _NO_FALLTHROUGH
 
 
 @dataclass(frozen=True)
@@ -112,45 +113,11 @@ def addresses_aligned(config: ArrayConfig, addr_a: int, addr_b: int) -> bool:
     return bank_a == bank_b and group_a == group_b and row_a != row_b
 
 
-def _uses(ins: Instruction) -> tuple[set[int], set[int]]:
-    """(read registers, written registers) of one instruction."""
-    op, a = ins.op, ins.args
-    if op in ("ADD", "SUB", "AND", "OR", "XOR", "SLT"):
-        return {a[1], a[2]}, {a[0]}
-    if op in ("NOT",):
-        return {a[1]}, {a[0]}
-    if op == "ADDI":
-        return {a[1]}, {a[0]}
-    if op == "LUI":
-        return set(), {a[0]}
-    if op == "LDW":
-        return {a[2]}, {a[0]}
-    if op == "STW":
-        return {a[0], a[2]}, set()
-    if op in _BRANCHES:
-        return {a[0], a[1]}, set()
-    if op in ("JMP", "HALT"):
-        return set(), set()
-    if op.startswith("CIM") and op != "CIMNOT":
-        return {a[1], a[2]}, {a[0]}
-    if op == "CIMNOT":
-        return {a[1]}, {a[0]}
-    if op.startswith("VCIM."):
-        return {a[1], a[2]}, {a[0]}
-    if op == "SPWR":
-        return {a[0]}, set()
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _successors(prog: Program, labels: dict[str, int], i: int) -> list[int]:
     ins = prog.instructions[i]
-    if ins.op == "HALT":
-        return []
-    if ins.op == "JMP":
-        return [labels[ins.args[0]]]
-    nxt = [i + 1] if i + 1 < len(prog.instructions) else []
-    if ins.op in _BRANCHES:
-        nxt.append(labels[ins.args[2]])
+    nxt = [i + 1] if ins.op not in _NO_FALLTHROUGH and i + 1 < len(prog.instructions) else []
+    if ins.op in _LABEL_OPS:
+        nxt.append(labels[ins.args[-1]])
     return nxt
 
 
@@ -207,12 +174,7 @@ def _reaches_avoiding(prog, labels, src: int, avoid: int, dst: int) -> bool:
 def _cfg_facts(prog: Program) -> tuple[dict[str, int], set[int]]:
     """(label map, branch-target set) of one program version."""
     labels = prog.label_map()
-    targets = set()
-    for ins in prog.instructions:
-        if ins.op in _BRANCHES:
-            targets.add(labels[ins.args[2]])
-        elif ins.op == "JMP":
-            targets.add(labels[ins.args[0]])
+    targets = {labels[ins.args[-1]] for ins in prog.instructions if ins.op in _LABEL_OPS}
     return labels, targets
 
 
@@ -222,7 +184,7 @@ def _block_end(prog: Program, targets: set[int], i: int) -> int:
     n = len(prog.instructions)
     while j < n:
         ins = prog.instructions[j]
-        if ins.op in _BRANCHES or ins.op in ("JMP", "HALT"):
+        if ins.op in _ENDS_BLOCK:
             return j + 1
         if j + 1 < n and (j + 1 in targets or prog.instructions[j + 1].labels):
             return j + 1
@@ -230,22 +192,18 @@ def _block_end(prog: Program, targets: set[int], i: int) -> int:
     return n
 
 
-_FOLD = {"ADD": operator.add, "SUB": operator.sub, "AND": operator.and_,
-         "OR": operator.or_, "XOR": operator.xor}
-
-
 def _fold(known: dict[int, int] | None, ins: Instruction) -> dict[int, int] | None:
     """Constant propagation through one instruction on the straight line from
     entry: updates and returns known, or None once control flow is reached."""
     op, a = ins.op, ins.args
-    if known is None or op in _BRANCHES or op in ("JMP", "HALT"):
+    if known is None or op in _ENDS_BLOCK:
         return None
     if op == "ADDI" and a[1] in known:
         val = known[a[1]] + a[2]
     elif op == "LUI":
         val = a[1] << 16
-    elif op in _FOLD and a[1] in known and a[2] in known:
-        val = _FOLD[op](known[a[1]], known[a[2]])
+    elif op in _ALU_FNS and a[1] in known and a[2] in known:
+        val = _ALU_FNS[op](known[a[1]], known[a[2]])
     else:
         for w in _uses(ins)[1]:
             if w != 0:  # the CPU discards r0 writes

@@ -486,12 +486,12 @@ def test_blocked_device_sampler_matches_per_access(scale, seed, start, segments)
 
 
 def test_blocked_device_sampler_raises_where_its_access_runs_out():
-    # At 14x variation about one cell in 2,000 stays non-positive through
-    # every retry, so some accesses raise and most of their block does not
-    # (15 of these 200).  The blocked sampler must raise at exactly the
+    # At 30x variation about one cell in 1,700 stays non-positive through
+    # all nine attempts, so some accesses raise and most of their block does
+    # not (19 of these 200).  The blocked sampler must raise at exactly the
     # accesses a per-access six-slot draw raises at, and serve the rest
     # unchanged.
-    variation = VariationSpec().scaled(14.0)
+    variation = VariationSpec().scaled(30.0)
     blocked = DeviceColumnSampler(variation=variation, seed=5)
     sensed = _RefDevice(variation, 5, slots=(0, 1, 2, 3, 5, 7))
     eight = _RefDevice(variation, 5)
@@ -505,8 +505,9 @@ def test_blocked_device_sampler_raises_where_its_access_runs_out():
     assert got == want
     raised = [k for k, r in enumerate(want) if r is ConfigError]
     assert 0 < len(raised) < 50
-    # Blocks start at 16 accesses: the first raising access shares its block
-    # with accesses served normally.
-    assert raised[0] < 16
+    # Blocks of 16, then 32 accesses: the first raising access (index 22,
+    # access 23) shares its block, accesses 17..48, with accesses served
+    # normally.
+    assert 16 <= raised[0] < 48 and not set(range(16, 48)) <= set(raised)
     # Cells in the unsensed slots 4 and 6 no longer raise for their access.
     assert set(raised) < {k for k, r in enumerate(old) if r is ConfigError}

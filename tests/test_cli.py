@@ -270,3 +270,25 @@ def test_python_dash_m_runs_the_cli():
                           "--n", "100"], capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
     assert "PATTERN type2" in res.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["device", "mc", "--samples", "1000"],
+    ["ecc", "prove", "--code", "secded", "--data-bits", "8", "--trials", "10"],
+    ["array", "selftest", "--words", "4"],
+    ["map", "plan", "--pattern", "type1", "--n", "4"],
+    ["xform", "{asm}", "--n", "4"],
+    ["bench", "run", "--kernel", "vecsum", "--mode", "base", "--n", "8"],
+    ["bench", "sweep", "--kernel", "vecsum", "--n", "8", "--latencies", "1"],
+])
+def test_unwritable_out_exits_2_with_one_line(argv, tmp_path, capsys):
+    asm = tmp_path / "halt.asm"
+    asm.write_text("HALT\n")
+    out = tmp_path / "missing" / "x"
+    argv = [arg.format(asm=asm) for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    command = " ".join(argv[:1] if argv[0] == "xform" else argv[:2])
+    assert captured.err == f"{command} failed: cannot write {out}: No such file or directory\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == captured.out

@@ -2,10 +2,13 @@
 bus invariants and the cycle model."""
 
 import gc
+import re
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sttcim import cpu as cpu_module, xform
 from sttcim.cimarray import Addr, ArrayConfig, CimArray, SPARE_ALIAS
 from sttcim.cpu import (
     AsmError,
@@ -67,6 +70,108 @@ def test_parse_errors():
         parse_program("VCIM.ADD.SUM.5 r1, r2, r3\n")
     with pytest.raises(AsmError):
         parse_program("dangling:\n")
+
+
+@pytest.mark.parametrize("op", ["VCIM.ADD.SUM.0x8", "VCIM.ADD.SUM.+8", "VCIM.ADD.SUM.0b1000",
+                                "VCIM.ADD.SUM.08", "vcim.add.sum.0x8"])
+def test_vector_lanes_must_be_spelled_in_decimal(op):
+    # Only the decimal lane counts 4 and 8 name a vector form the CPU runs.
+    with pytest.raises(AsmError, match=re.escape(f"line 1: bad vector mnemonic '{op.upper()}'")):
+        parse_program(f"{op} r1, r2, r3\n")
+
+
+# Operand shapes as the assembly dialect writes them, kept apart from the
+# cpu's table: r register, i immediate, m imm(reg), l label, o optional
+# immediate.
+_VECTOR_OPS = [f"VCIM.{op}.{red}.{lanes}" for op in ("AND", "OR", "XOR", "ADD")
+               for red in ("SUM", "ZCMP") for lanes in (4, 8)]
+_SHAPES = {
+    "HALT": "", "NOT": "rr", "CIMNOT": "rr", "ADDI": "rri", "LUI": "ri", "LDW": "rm",
+    "STW": "rm", "BEQ": "rrl", "BNE": "rrl", "JMP": "l", "SPWR": "ro",
+    **dict.fromkeys(("ADD", "SUB", "AND", "OR", "XOR", "SLT", "CIMAND", "CIMOR", "CIMXOR",
+                     "CIMNAND", "CIMNOR", "CIMADD", *_VECTOR_OPS), "rrr"),
+}
+_LABELS = ("L0", "loop", "_x9", "end_1")
+_IMMS = st.integers(-(1 << 40), 1 << 40)
+
+
+def _reference_uses(ins):
+    """The rewriter's register roles as an if-chain over mnemonics."""
+    op, a = ins.op, ins.args
+    if op in ("ADD", "SUB", "AND", "OR", "XOR", "SLT"):
+        return {a[1], a[2]}, {a[0]}
+    if op in ("NOT",):
+        return {a[1]}, {a[0]}
+    if op == "ADDI":
+        return {a[1]}, {a[0]}
+    if op == "LUI":
+        return set(), {a[0]}
+    if op == "LDW":
+        return {a[2]}, {a[0]}
+    if op == "STW":
+        return {a[0], a[2]}, set()
+    if op in ("BEQ", "BNE"):
+        return {a[0], a[1]}, set()
+    if op in ("JMP", "HALT"):
+        return set(), set()
+    if op.startswith("CIM") and op != "CIMNOT":
+        return {a[1], a[2]}, {a[0]}
+    if op == "CIMNOT":
+        return {a[1]}, {a[0]}
+    if op.startswith("VCIM."):
+        return {a[1], a[2]}, {a[0]}
+    if op == "SPWR":
+        return {a[0]}, set()
+    raise ValueError(f"unknown op {op!r}")
+
+
+@st.composite
+def _every_mnemonic(draw):
+    """Every mnemonic at least once, SPWR with and without its mask, in a
+    random order with random operands and labels."""
+    ops = draw(st.permutations(sorted(_SHAPES) + ["SPWR"]))
+    ops += draw(st.lists(st.sampled_from(sorted(_SHAPES)), max_size=8))
+    masks = [None, draw(_IMMS)]
+    instructions = []
+    for op in ops:
+        args = []
+        for kind in _SHAPES[op]:
+            if kind == "r":
+                args.append(draw(st.integers(0, 31)))
+            elif kind == "i":
+                args.append(draw(_IMMS))
+            elif kind == "m":
+                args += [draw(_IMMS), draw(st.integers(0, 31))]
+            elif kind == "l":
+                args.append(draw(st.sampled_from(_LABELS)))
+            else:
+                args.append(masks.pop() if masks else draw(st.none() | _IMMS))
+        instructions.append(Instruction(op, tuple(args)))
+    # Every label names some instruction; some instructions carry several.
+    labels = [()] * len(instructions)
+    for label in _LABELS:
+        i = draw(st.integers(0, len(instructions) - 1))
+        labels[i] += (label,)
+    # Line numbers as format_program lays the text out: labels on lines of
+    # their own.
+    line = 0
+    for i, ins in enumerate(instructions):
+        line += len(labels[i]) + 1
+        instructions[i] = Instruction(ins.op, ins.args, labels[i], line)
+    return Program(instructions)
+
+
+def test_isa_table_lists_exactly_the_dialect():
+    assert set(cpu_module._ISA) == set(_SHAPES)
+    assert len(_VECTOR_OPS) == 16
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(_every_mnemonic())
+def test_isa_table_round_trips_and_matches_the_register_roles(prog):
+    assert parse_program(format_program(prog)) == prog
+    for ins in prog.instructions:
+        assert xform._uses(ins) == _reference_uses(ins), ins
 
 
 def test_alu_semantics():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri
 
+from sttcim import device
 from sttcim.device import (
     ConfigError,
     DeviceParams,
@@ -158,6 +159,29 @@ def test_cell_factors_independent_of_index_order(scale):
     pfactor, pr_t = cell_factors(p, var, 11, idx[perm].reshape(50, 400))
     assert np.array_equal(pfactor.ravel(), factor[perm])
     assert np.array_equal(pr_t.ravel(), r_t[perm])
+
+
+def test_retry_shifts_are_distinct_and_far_from_base_draws():
+    shifts = device._RETRY_SHIFTS
+    assert len(shifts) == device._MAX_RETRIES == 8
+    assert len(set(shifts)) == 8 and all(0 < s < 2**64 for s in shifts)
+    # The first three are the shifts of the original 2^62 stride, so a cell
+    # that settles within three retries keeps its draws.
+    assert shifts[:3] == (1 << 62, 2 << 62, 3 << 62)
+    # Far above the base draws and from each other: a sensed column's draws
+    # stay below 2^45 up to access 2^20.
+    ordered = sorted((0, *shifts, 2**64))
+    assert min(b - a for a, b in zip(ordered, ordered[1:])) >= 2**60
+
+
+def test_retries_are_independent_draws():
+    # At 30x the default sigmas a cell's draw is bad with p about 0.44.
+    # When retries cycled through 4 distinct draws, a 200-cell call raised
+    # with p about 1 - (1 - 0.44**4)**200, essentially always; with 9
+    # distinct draws it raises with p about 0.11, and not at this seed.
+    var = VariationSpec().scaled(30.0)
+    factor, r_t = cell_factors(DeviceParams(), var, 0, np.arange(200, dtype=np.uint64))
+    assert np.all(r_t > 0) and np.all(np.isfinite(factor)) and np.all(factor > 0)
 
 
 # Out-of-place stream formulas, kept here as the reference for the in-place
