@@ -61,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import (CELLS_PER_SAMPLE, SENSED_SLOTS, ConfigError, DeviceParams, VariationSpec,
-                     cell_factors, sensed_levels)
+from .device import (_DRAWS_PER_CELL, CELLS_PER_SAMPLE, SENSED_SLOTS, ConfigError, DeviceParams,
+                     VariationSpec, cell_factors, sensed_levels)
 from .ecc import DecodeStatus, make_code
 from .streams import uniforms
 
@@ -238,7 +238,8 @@ class IdealSampler:
 # runs amortize numpy's per-call cost.  Measured on a 2-core x86 host, caps
 # of 16 to 32 are fastest on faults, 32 runs acceptance criterion 4 (320,000
 # sequential accesses) in 3.1 s against 4.3 s at 16, and caps of 64 and
-# above add 2-6% peak RSS for no gain.
+# above add 2-6% peak RSS for no gain.  A sampler may cap its blocks lower
+# at n columns (``_cap``); the first block never exceeds the cap.
 _BLOCK_START = 16
 _BLOCK_CAP = 32
 
@@ -254,13 +255,18 @@ class _BlockSampler:
     _first = _end = _size = 0
     _block: list | tuple = ()
 
+    def _cap(self, n: int) -> int:
+        """Largest block at n columns."""
+        return _BLOCK_CAP
+
     def _entry(self, access: int, n: int):
         if n == self._n and self._first <= access < self._end:
             return self._block[access - self._first]
+        cap = self._cap(n)
         if n == self._n and access == self._end:
-            size = min(2 * self._size, _BLOCK_CAP)
+            size = min(2 * self._size, cap)
         else:
-            size = _BLOCK_START
+            size = min(_BLOCK_START, cap)
         try:
             block = self._fill(access, size, n)
         except ConfigError:
@@ -336,6 +342,22 @@ class DeviceColumnSampler(_BlockSampler):
         self.params = params if params is not None else DeviceParams()
         self.variation = variation if variation is not None else VariationSpec()
         self.seed = seed
+
+    # A block fill makes three 8-byte arrays with _DRAWS_PER_CELL entries
+    # per sensed slot, column and access (144 B per column and access): the
+    # draw indices, the normals and the stream hash's scratch.  Blocks keep
+    # them under glibc's default 128 KiB mmap threshold, so they come from
+    # the heap instead of fresh mappings.  With 32-access blocks at 51
+    # columns (235 KB arrays) every pass of perfbench's faults workload took
+    # 10,900-11,900 minor page faults in 12 of 12 fresh processes
+    # (getrusage); with this cap (17 accesses at 51 columns, 12 at 72, still
+    # 32 at 27) the median pass took none in 12 of 12, and no pass after the
+    # first took over 3.
+    _BLOCK_BYTES = 1 << 17
+
+    def _cap(self, n):
+        per_access = len(SENSED_SLOTS) * _DRAWS_PER_CELL * 8 * n
+        return max(1, min(_BLOCK_CAP, self._BLOCK_BYTES // per_access))
 
     def _fill(self, first, count, n):
         v = self.params.read_voltage

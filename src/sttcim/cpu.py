@@ -150,7 +150,7 @@ class Program:
         for idx, ins in enumerate(self.instructions):
             for lab in ins.labels:
                 if lab in out:
-                    raise AsmError(f"duplicate label {lab!r}")
+                    raise AsmError(f"line {ins.line}: duplicate label {lab!r}")
                 out[lab] = idx
         return out
 
@@ -209,6 +209,7 @@ def parse_program(text: str) -> Program:
     prefix an instruction; comments start with # or ;."""
     instructions: list[Instruction] = []
     pending_labels: list[str] = []
+    defined: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = re.split(r"[#;]", raw, maxsplit=1)[0].strip()
         if not line:
@@ -218,6 +219,9 @@ def parse_program(text: str) -> Program:
             label = label.strip()
             if not _LABEL_RE.match(label):
                 raise AsmError(f"line {line_no}: bad label {label!r}")
+            if label in defined:
+                raise AsmError(f"line {line_no}: duplicate label {label!r}")
+            defined.add(label)
             pending_labels.append(label)
             line = line.strip()
         if not line:

@@ -12,12 +12,16 @@ Carlo; the device tests check moment recovery empirically.
 All three stages (hash, uniform, normal) run in place in one buffer per
 call, so a call allocates one array the size of its indices plus one
 scratch array for the hash.
+
+scipy is imported on the first normal draw, not with this module: only the
+device model draws normals, and importing ``scipy.special`` costs about a
+quarter of a second, which most runs (kernels, the assembler and rewriter,
+mapping, most CLI commands) would pay for nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -69,6 +73,7 @@ def _draw(seed: int, indices, stage: int):
         np.multiply(x, 2.0**-53, out=out)
         np.add(out, 2.0**-54, out=out)
         if stage == _NORMALS:
+            from scipy.special import ndtri
             ndtri(out, out=out)
     return out if out.ndim else out[()]
 

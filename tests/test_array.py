@@ -511,3 +511,34 @@ def test_blocked_device_sampler_raises_where_its_access_runs_out():
     assert 16 <= raised[0] < 48 and not set(range(16, 48)) <= set(raised)
     # Cells in the unsensed slots 4 and 6 no longer raise for their access.
     assert set(raised) < {k for k, r in enumerate(old) if r is ConfigError}
+
+
+def _block_sizes(sampler, n, accesses=100):
+    """The block sizes a sampler fills over consecutive accesses 0..accesses-1."""
+    sizes = []
+    fill = sampler._fill
+
+    def recording(first, count, n):
+        sizes.append(count)
+        return fill(first, count, n)
+
+    sampler._fill = recording
+    for access in range(accesses):
+        sampler.sense_read(access, 0, n)
+    return sizes
+
+
+@pytest.mark.parametrize("n, want", [(27, [16, 32, 32, 32]),
+                                     (51, [16, 17, 17, 17, 17, 17]),
+                                     (72, [12] * 9)])
+def test_device_sampler_blocks_stay_under_128_kib(n, want):
+    # A block's draw array is 6 sensed slots x 3 draws x 8 B per column and
+    # access; it must stay under glibc's default 128 KiB mmap threshold.
+    sizes = _block_sizes(DeviceColumnSampler(), n)
+    assert all(size * 144 * n < 1 << 17 for size in sizes)
+    assert sizes == want
+
+
+@pytest.mark.parametrize("n", [27, 51, 72])
+def test_injected_noise_blocks_keep_16_then_32(n):
+    assert _block_sizes(InjectedColumnNoise(1e-2), n) == [16, 32, 32, 32]

@@ -272,6 +272,34 @@ def test_python_dash_m_runs_the_cli():
     assert "PATTERN type2" in res.stdout
 
 
+def test_scipy_loads_only_on_the_first_normal_draw():
+    # Only the device model's normals need scipy.special; kernels, the
+    # rewriter and the CLI's bench commands must start without it.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = """
+import sys
+def loaded():
+    return "scipy.special" in sys.modules
+import sttcim
+from sttcim import bench, cli, device, xform
+assert not loaded(), "import sttcim"
+sttcim.run_kernel("vecsum", "cim")
+assert not loaded(), "run_kernel"
+prog, report, plan = bench.transform_pair("vecsum")
+assert xform.verify_equivalence(prog, xform.transform(prog, plan).program, plan)
+assert not loaded(), "transform"
+assert cli.main(["bench", "run", "--kernel", "vecsum", "--mode", "cim"]) == 0
+assert not loaded(), "bench run"
+device.unit_normals(0, [1, 2])
+assert loaded(), "unit_normals"
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["device", "mc", "--samples", "1000"],
     ["ecc", "prove", "--code", "secded", "--data-bits", "8", "--trials", "10"],

@@ -80,6 +80,20 @@ def test_vector_lanes_must_be_spelled_in_decimal(op):
         parse_program(f"{op} r1, r2, r3\n")
 
 
+@pytest.mark.parametrize("src, line", [("a: HALT\na: HALT\n", 2),
+                                       ("a:\nHALT\nb: a:\nHALT\n", 3),
+                                       ("a: a: HALT\n", 1)])
+def test_duplicate_label_names_the_line_of_its_second_definition(src, line):
+    with pytest.raises(AsmError, match=f"^line {line}: duplicate label 'a'$"):
+        parse_program(src)
+
+
+def test_duplicate_label_in_a_built_program_names_the_labelled_line():
+    prog = Program([Instruction("HALT", (), ("a",), 1), Instruction("HALT", (), ("a",), 4)])
+    with pytest.raises(AsmError, match="^line 4: duplicate label 'a'$"):
+        Cpu(CimArray(), prog)
+
+
 # Operand shapes as the assembly dialect writes them, kept apart from the
 # cpu's table: r register, i immediate, m imm(reg), l label, o optional
 # immediate.
