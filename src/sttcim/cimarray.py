@@ -5,7 +5,9 @@ Geometry: ``banks`` x ``rows_per_bank`` rows; each row stores
 ``words_per_row`` ECC codewords side by side.  The last row of every bank is
 a spare that sits outside the linear address space; controllers reach it
 through the alias window (base address + ``SPARE_ALIAS``) as a
-compute-in-memory operand, and fill it with a broadcast special write.
+compute-in-memory operand, and fill it with a broadcast special write.  The
+store holds one codeword per slot: data words at their linear address, then
+the spare rows, bank b's group g at ``total_words + b * words_per_row + g``.
 
 An in-array access activates one row (READ, NOT) or two rows (the rest) and
 senses every column of one word in parallel.  Each column carries two
@@ -58,6 +60,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,19 +149,19 @@ class ArrayConfig:
             raise ValueError("vector_length cannot exceed words_per_row")
         make_code(self.code, self.word_width)
 
-    @property
+    @cached_property
     def data_rows(self) -> int:
         return self.rows_per_bank - 1
 
-    @property
+    @cached_property
     def spare_row(self) -> int:
         return self.rows_per_bank - 1
 
-    @property
+    @cached_property
     def words_per_bank(self) -> int:
         return self.data_rows * self.words_per_row
 
-    @property
+    @cached_property
     def total_words(self) -> int:
         return self.banks * self.words_per_bank
 
@@ -393,6 +396,35 @@ class DeviceColumnSampler(_BlockSampler):
 _TWO_ROW_OPS = (CimOp.AND, CimOp.OR, CimOp.NAND, CimOp.NOR, CimOp.XOR, CimOp.ADD)
 
 
+def _coords(config: ArrayConfig, slot: int) -> tuple[int, int, int]:
+    """(bank, row, group) of a store slot."""
+    words_per_row = config.words_per_row
+    if slot >= config.total_words:
+        slot -= config.total_words
+        return slot // words_per_row, config.spare_row, slot % words_per_row
+    return (slot // config.words_per_bank, slot // words_per_row % config.data_rows,
+            slot % words_per_row)
+
+
+def _spare_slot(config: ArrayConfig, bank: int, group: int) -> int:
+    """Slot of group of a bank's spare row."""
+    return config.total_words + bank * config.words_per_row + group
+
+
+def _slot(config: ArrayConfig, linear: int) -> int:
+    """Store slot of a linear address; at SPARE_ALIAS and above, of the
+    spare-row word column-aligned with the base address."""
+    total = config.total_words
+    if linear >= SPARE_ALIAS:
+        base = linear - SPARE_ALIAS
+        if not 0 <= base < total:
+            raise ValueError(f"linear address {base} out of range")
+        return _spare_slot(config, base // config.words_per_bank, base % config.words_per_row)
+    if not 0 <= linear < total:
+        raise ValueError(f"linear address {linear} out of range")
+    return linear
+
+
 class CimArray:
     """Array state plus the controller: ECC on the way in and out, the XOR
     check on every two-row access, near-memory fallback bookkeeping."""
@@ -403,62 +435,47 @@ class CimArray:
         self.code = make_code(self.config.code, self.config.word_width)
         self.sampler = sampler if sampler is not None else IdealSampler()
         self.counters = counters if counters is not None else AccessCounters()
-        self._banks = [[0] * self.config.rows_per_bank for _ in range(self.config.banks)]
+        config = self.config
+        # One codeword per slot, laid out as the module notes say.
+        self._words = [0] * (config.total_words + config.banks * config.words_per_row)
         self._access = 0
         self._n = self.code.n
-        self._word_mask = (1 << self._n) - 1
-        self._data_mask = (1 << self.config.word_width) - 1
-        # Geometry for the fast path of _resolve: linear addresses below
-        # the limit are data words.
-        self._words_per_row = self.config.words_per_row
-        self._data_rows = self.config.data_rows
-        self._linear_limit = min(self.config.total_words, SPARE_ALIAS)
+        self._data_mask = (1 << config.word_width) - 1
+        # Linear addresses below the limit are data words, their own slots.
+        self._linear_limit = min(config.total_words, SPARE_ALIAS)
 
     # -- addressing -----------------------------------------------------
-    # Resolved addresses are (bank, row, group) tuples.
 
-    def _resolve(self, addr, spare_ok: bool = False) -> tuple[int, int, int]:
+    def _resolve(self, addr, spare_ok: bool = False) -> int:
+        """Store slot of an address."""
         if type(addr) is int and 0 <= addr < self._linear_limit:
-            rows, group = divmod(addr, self._words_per_row)
-            bank, row = divmod(rows, self._data_rows)
-            return bank, row, group
+            return addr
+        config = self.config
         if isinstance(addr, Addr):
-            if addr.bank >= self.config.banks or addr.group >= self.config.words_per_row:
+            bank, row, group = addr.bank, addr.row, addr.group
+            if not (0 <= bank < config.banks and 0 <= group < config.words_per_row):
                 raise ValueError(f"{addr} out of range")
-            limit = self.config.rows_per_bank if spare_ok else self.config.data_rows
-            if not 0 <= addr.row < limit:
-                raise ValueError(f"{addr} row out of range")
-            return addr.bank, addr.row, addr.group
+            if 0 <= row < config.data_rows:
+                return addr.to_linear(config)
+            if spare_ok and row == config.spare_row:
+                return _spare_slot(config, bank, group)
+            raise ValueError(f"{addr} row out of range")
         linear = int(addr)
-        if linear >= SPARE_ALIAS:
-            if not spare_ok:
-                raise ValueError("spare-row alias is only valid as a CiM operand")
-            base = Addr.from_linear(self.config, linear - SPARE_ALIAS)
-            return base.bank, self.config.spare_row, base.group
-        a = Addr.from_linear(self.config, linear)
-        return a.bank, a.row, a.group
-
-    def _get_word(self, a: tuple[int, int, int]) -> int:
-        bank, row, group = a
-        return (self._banks[bank][row] >> (group * self._n)) & self._word_mask
-
-    def _set_word(self, a: tuple[int, int, int], codeword: int) -> None:
-        bank, row, group = a
-        shift = group * self._n
-        rows = self._banks[bank]
-        rows[row] = (rows[row] & ~(self._word_mask << shift)) | (codeword << shift)
+        if linear >= SPARE_ALIAS and not spare_ok:
+            raise ValueError("spare-row alias is only valid as a CiM operand")
+        return _slot(config, linear)
 
     # -- scalar accesses -------------------------------------------------
 
     def write_word(self, addr, data: int) -> None:
-        self._set_word(self._resolve(addr), self.code.encode(data))
+        self._words[self._resolve(addr)] = self.code.encode(data)
         self.counters.writes += 1
 
     def write_spare(self, bank: int, data: int) -> None:
         """Broadcast one word into every group of a bank's spare row."""
         if not 0 <= bank < self.config.banks:
             raise ValueError("bank out of range")
-        self._banks[bank][self.config.spare_row] = self._broadcast_row(data)
+        self._fill_row(_spare_slot(self.config, bank, 0), data)
         self.counters.special_writes += 1
 
     def write_replicated(self, bank: int, row: int, data: int) -> None:
@@ -468,19 +485,16 @@ class CimArray:
             raise ValueError("bank out of range")
         if not 0 <= row < self.config.data_rows:
             raise ValueError("row out of range")
-        self._banks[bank][row] = self._broadcast_row(data)
+        self._fill_row(Addr(bank, row, 0).to_linear(self.config), data)
         self.counters.writes += self.config.words_per_row
 
-    def _broadcast_row(self, data: int) -> int:
-        cw = self.code.encode(data)
-        row = 0
-        for g in range(self.config.words_per_row):
-            row |= cw << (g * self._n)
-        return row
+    def _fill_row(self, start: int, data: int) -> None:
+        words_per_row = self.config.words_per_row
+        self._words[start : start + words_per_row] = [self.code.encode(data)] * words_per_row
 
-    def _sense_read(self, a: tuple[int, int, int]) -> int:
+    def _sense_read(self, slot: int) -> int:
         self._access += 1
-        return self.sampler.sense_read(self._access, self._get_word(a), self._n)
+        return self.sampler.sense_read(self._access, self._words[slot], self._n)
 
     def _decode_read(self, sensed: int):
         res = self.code.decode(sensed)
@@ -495,9 +509,9 @@ class CimArray:
         self.counters.reads += 1
         return self._decode_read(sensed)
 
-    def _nm_read(self, a: tuple[int, int, int]) -> int:
+    def _nm_read(self, slot: int) -> int:
         """Near-memory fallback read; separate traffic category."""
-        sensed = self._sense_read(a)
+        sensed = self._sense_read(slot)
         self.counters.nm_reads += 1
         return self._decode_read(sensed)
 
@@ -528,8 +542,10 @@ class CimArray:
         """Two-row in-array op.  Returns (result data, array accesses)."""
         if op not in _TWO_ROW_OPS:
             raise ValueError(f"{op!r} is not a two-row op")
-        bank, row, group = a = self._resolve(addr_a, spare_ok=True)
-        bank_b, row_b, group_b = b = self._resolve(addr_b, spare_ok=True)
+        a = self._resolve(addr_a, spare_ok=True)
+        b = self._resolve(addr_b, spare_ok=True)
+        bank, row, group = _coords(self.config, a)
+        bank_b, row_b, group_b = _coords(self.config, b)
         if bank != bank_b:
             raise ValueError("CiM operands must share a bank")
         if group != group_b:
@@ -539,7 +555,7 @@ class CimArray:
         self._access += 1
         self.counters.cim_ops += 1
         o_or, o_and = self.sampler.sense_pair(
-            self._access, self._get_word(a), self._get_word(b), self._n
+            self._access, self._words[a], self._words[b], self._n
         )
         res = self.code.decode(o_or & ~o_and)
         if res.status is DecodeStatus.CLEAN:
@@ -586,22 +602,20 @@ class CimArray:
             raise ValueError("reduce must be sum or zcmp")
         if op not in _TWO_ROW_OPS:
             raise ValueError(f"{op!r} is not a two-row op")
-        bank, row_a, group = self._resolve(addr_a, spare_ok=True)
-        bank_b, row_b, group_b = self._resolve(addr_b, spare_ok=True)
+        a = self._resolve(addr_a, spare_ok=True)
+        b = self._resolve(addr_b, spare_ok=True)
+        bank, row_a, group = _coords(self.config, a)
+        bank_b, row_b, group_b = _coords(self.config, b)
         if bank != bank_b or group != group_b or row_a == row_b:
             raise ValueError("vector operands must be aligned rows of one bank")
         if group + lanes > self.config.words_per_row:
             raise ValueError("vector access crosses a row boundary")
         self.counters.vcim_ops += 1
         self.counters.vcim_lanes += lanes
-        n, word_mask, extract = self._n, self._word_mask, self.code.extract
-        words_a = self._banks[bank][row_a] >> (group * n)
-        words_b = self._banks[bank][row_b] >> (group * n)
+        words, extract = self._words, self.code.extract
         acc = 0
         for k in range(lanes):
-            lane = self._alu(op, extract(words_a & word_mask), extract(words_b & word_mask))
-            words_a >>= n
-            words_b >>= n
+            lane = self._alu(op, extract(words[a + k]), extract(words[b + k]))
             if reduce == "sum":
                 acc = (acc + lane) & self._data_mask
             else:

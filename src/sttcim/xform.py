@@ -42,14 +42,17 @@ alignment constraint.
 Rewriting is one forward scan to a fixed point, so the transform is
 idempotent; every three-instruction rewrite shrinks the program by two
 instructions, the NOT form by one.  The scan carries the constant state of
-the straight-line prefix forward and rebuilds the label map and branch
-targets once per rewrite.  After a rewrite at i it resumes at i: the prefix
-is unchanged, and a rejected window before i stays rejected, since dropping
-the loaded registers' writes only lengthens the paths that read them, the
-contracted window holds no label, and a CIM instruction starts no pattern.
-The exception is a register whose writer count falls to two, which may turn
-into an induction register for an earlier window; the scan then restarts
-at entry.
+the straight-line prefix forward and builds the label map and branch targets
+once: a window's inner instructions hold no label and are no branch target,
+so a rewrite at i moves only the labels and targets past i, each by the
+instructions it removed.  Keeping these facts costs a transform time linear
+in the program length plus rewrites x labels.  After a rewrite at i the scan
+resumes at i: the prefix is unchanged, and a rejected window before i stays
+rejected, since dropping the loaded registers' writes only lengthens the
+paths that read them, the contracted window holds no label, and a CIM
+instruction starts no pattern.  The exception is a register whose writer
+count falls to two, which may turn into an induction register for an earlier
+window; the scan then restarts at entry.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .cimarray import ArrayConfig, CimArray, SPARE_ALIAS
+from .cimarray import SPARE_ALIAS, ArrayConfig, CimArray, _coords, _slot
 from .cpu import _ALU_FNS, _LABEL_OPS, Cpu, CpuFault, Instruction, Program, _uses
 from .mapper import MapPlan
 
@@ -94,22 +97,11 @@ class XformReport:
 
 def addresses_aligned(config: ArrayConfig, addr_a: int, addr_b: int) -> bool:
     """True iff the pair satisfies the two-row access constraints."""
-
-    def resolve(linear):
-        """(bank, row, group), the same split as CimArray._resolve."""
-        spare = linear >= SPARE_ALIAS
-        base = linear - SPARE_ALIAS if spare else linear
-        if not 0 <= base < config.total_words:
-            return None
-        rows, group = divmod(base, config.words_per_row)
-        bank, row = divmod(rows, config.data_rows)
-        return bank, config.spare_row if spare else row, group
-
-    a = resolve(addr_a)
-    b = resolve(addr_b)
-    if a is None or b is None:
+    try:
+        a, b = _slot(config, addr_a), _slot(config, addr_b)
+    except ValueError:
         return False
-    (bank_a, row_a, group_a), (bank_b, row_b, group_b) = a, b
+    (bank_a, row_a, group_a), (bank_b, row_b, group_b) = _coords(config, a), _coords(config, b)
     return bank_a == bank_b and group_a == group_b and row_a != row_b
 
 
@@ -346,12 +338,10 @@ def transform(prog: Program, plan: MapPlan) -> XformReport:
     rewrites: list[Rewrite] = []
     before = len(current)
     writers = Counter(r for ins in current.instructions for r in _uses(ins)[1])
-    labels = None
+    labels, targets = _cfg_facts(current)
+    first_target = min(targets, default=len(current))
     i, known = 0, {0: 0}
     while i < len(current.instructions):
-        if labels is None:
-            labels, targets = _cfg_facts(current)
-            first_target = min(targets, default=len(current))
         const = known if first_target > i else None
         hit = (_try_cim_window(current, labels, targets, writers, plan, const, i)
                or _try_not_window(current, labels, i))
@@ -365,7 +355,12 @@ def transform(prog: Program, plan: MapPlan) -> XformReport:
         writers.subtract(dropped)
         current.instructions[i : i + width] = [new_ins]
         rewrites.append(note)
-        labels = None
+        # The window's inner instructions held no label and were no target,
+        # so only the facts past i move.
+        shift = width - 1
+        labels = {name: j - shift if j > i else j for name, j in labels.items()}
+        targets = {t - shift if t > i else t for t in targets}
+        first_target = min(targets, default=len(current))
         # A register left with two writers may prove an earlier window.
         if any(d > 0 and writers[r] == 2 for r, d in dropped.items()):
             i, known = 0, {0: 0}
@@ -386,21 +381,27 @@ def verify_equivalence(original: Program, transformed: Program, plan: MapPlan,
     each run; unplaced words start zeroed in both.  Registers are not
     compared: the rewrite deliberately stops writing the dead loaded
     temporaries, and that difference must stay invisible through memory.
-    Returns True iff both programs halt and leave byte-identical banks.
+    Returns True iff both programs halt and leave identical stores; a plan
+    segment outside the data words raises ValueError.
     """
-    seeded = CimArray(plan.config)
+    config = plan.config
+    seeded = CimArray(config)
     rng = random.Random(seed)
+    encode, width = seeded.code.encode, config.word_width
     for seg in plan.segments:
-        for i in range(seg.length):
-            seeded.write_word(seg.base + i, rng.getrandbits(plan.config.word_width))
+        if seg.length > 0 and (seg.base < 0 or seg.end > config.total_words):
+            raise ValueError(f"segment {seg.name}/{seg.seg} at {seg.base}+{seg.length} "
+                             "runs outside the data words")
+        seeded._words[seg.base : seg.end] = [encode(rng.getrandbits(width))
+                                            for _ in range(seg.length)]
     images = []
     for prog in (original, transformed):
-        arr = CimArray(plan.config)
-        arr._banks = [list(bank) for bank in seeded._banks]
+        arr = CimArray(config)
+        arr._words = list(seeded._words)
         cpu = Cpu(arr, prog)
         try:
             cpu.run(max_steps=max_steps)
         except CpuFault:
             return False
-        images.append([tuple(bank) for bank in arr._banks])
+        images.append(arr._words)
     return images[0] == images[1]

@@ -542,3 +542,185 @@ def test_device_sampler_blocks_stay_under_128_kib(n, want):
 @pytest.mark.parametrize("n", [27, 51, 72])
 def test_injected_noise_blocks_keep_16_then_32(n):
     assert _block_sizes(InjectedColumnNoise(1e-2), n) == [16, 32, 32, 32]
+
+
+# -- the store against a coordinate model ------------------------------------------
+
+# Two banks of two data rows plus the spare, so spare, row-crossing and
+# aligned operands come up often.
+_SMALL = ArrayConfig(banks=2, rows_per_bank=3, words_per_row=8, word_width=8, vector_length=8)
+_SPARE_ROW = _SMALL.rows_per_bank - 1
+_MASK8 = (1 << _SMALL.word_width) - 1
+
+
+class _StoreModel:
+    """Stored data by (bank, row, group), with the array's addressing rules
+    and counters written out independently of the array."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.words = {}
+        self.counters = AccessCounters()
+
+    def coords(self, addr, spare_ok=False):
+        cfg = self.cfg
+        if isinstance(addr, Addr):
+            bank, row, group = addr.bank, addr.row, addr.group
+            rows = cfg.rows_per_bank if spare_ok else cfg.data_rows
+        else:
+            spare = addr >= SPARE_ALIAS
+            if spare and not spare_ok:
+                raise ValueError("alias outside a CiM operand")
+            base = addr - SPARE_ALIAS if spare else addr
+            if not 0 <= base < cfg.total_words:
+                raise ValueError("out of range")
+            bank, rest = divmod(base, cfg.data_rows * cfg.words_per_row)
+            row, group = divmod(rest, cfg.words_per_row)
+            row, rows = (cfg.spare_row if spare else row), cfg.rows_per_bank
+        if not (0 <= bank < cfg.banks and 0 <= row < rows and 0 <= group < cfg.words_per_row):
+            raise ValueError("out of range")
+        return bank, row, group
+
+    def pair(self, op, addr_a, addr_b):
+        if op not in (CimOp.AND, CimOp.OR, CimOp.NAND, CimOp.NOR, CimOp.XOR, CimOp.ADD):
+            raise ValueError("not a two-row op")
+        (bank, row, group), (bank_b, row_b, group_b) = (
+            self.coords(addr_a, True), self.coords(addr_b, True))
+        if bank != bank_b or group != group_b or row == row_b:
+            raise ValueError("misaligned")
+        return bank, row, row_b, group
+
+    def apply(self, call):
+        name, *args = call
+        cfg, words, c = self.cfg, self.words, self.counters
+        if name == "write_word":
+            words[self.coords(args[0])] = args[1]
+            c.writes += 1
+        elif name == "write_spare":
+            if not 0 <= args[0] < cfg.banks:
+                raise ValueError("bank")
+            for g in range(cfg.words_per_row):
+                words[args[0], cfg.spare_row, g] = args[1]
+            c.special_writes += 1
+        elif name == "write_replicated":
+            bank, row, data = args
+            if not (0 <= bank < cfg.banks and 0 <= row < cfg.data_rows):
+                raise ValueError("bank or row")
+            for g in range(cfg.words_per_row):
+                words[bank, row, g] = data
+            c.writes += cfg.words_per_row
+        elif name == "read_word":
+            value = words.get(self.coords(args[0]), 0)
+            c.reads += 1
+            return value
+        elif name == "cim_not":
+            value = words.get(self.coords(args[0], True), 0)
+            c.cim_ops += 1
+            return value ^ _MASK8, 1
+        elif name == "cim_word":
+            bank, row_a, row_b, group = self.pair(*args)
+            c.cim_ops += 1
+            a, b = words.get((bank, row_a, group), 0), words.get((bank, row_b, group), 0)
+            return _reference(args[0], a, b, cfg.word_width), 1
+        else:  # vcim
+            op, addr_a, addr_b, lanes, reduce = args
+            bank, row_a, row_b, group = self.pair(op, addr_a, addr_b)
+            if group + lanes > cfg.words_per_row:
+                raise ValueError("crosses the row")
+            c.vcim_ops += 1
+            c.vcim_lanes += lanes
+            acc = 0
+            for k in range(lanes):
+                lane = _reference(op, words.get((bank, row_a, group + k), 0),
+                                  words.get((bank, row_b, group + k), 0), cfg.word_width)
+                acc = (acc + lane) & _MASK8 if reduce == "sum" else acc | (lane != 0) << k
+            return acc
+        return None
+
+
+_LINEAR = st.integers(-2, _SMALL.total_words + 1)
+_ANY_ADDR = st.one_of(
+    _LINEAR,
+    _LINEAR.map(lambda k: k + SPARE_ALIAS),
+    st.builds(Addr, st.integers(0, _SMALL.banks), st.integers(0, _SMALL.rows_per_bank),
+              st.integers(0, _SMALL.words_per_row)),
+)
+_DATA = st.integers(0, _MASK8)
+
+
+@st.composite
+def _spelled(draw, bank, row, group):
+    """One word's coordinates as an Addr, a linear address or a spare alias."""
+    if row == _SPARE_ROW and draw(st.booleans()):
+        base_row = draw(st.integers(0, _SMALL.data_rows - 1))
+        return SPARE_ALIAS + Addr(bank, base_row, group).to_linear(_SMALL)
+    if row != _SPARE_ROW and draw(st.booleans()):
+        return Addr(bank, row, group).to_linear(_SMALL)
+    return Addr(bank, row, group)
+
+
+@st.composite
+def _operand_pair(draw):
+    """Mostly one bank and word group, sometimes another group, sometimes
+    two arbitrary addresses."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_ANY_ADDR), draw(_ANY_ADDR)
+    bank = draw(st.integers(0, _SMALL.banks - 1))
+    group = draw(st.one_of(st.just(0), st.integers(0, _SMALL.words_per_row - 1)))
+    group_b = group if draw(st.integers(0, 4)) else draw(st.integers(0, _SMALL.words_per_row - 1))
+    row_a = draw(st.integers(0, _SPARE_ROW))
+    row_b = (row_a + draw(st.sampled_from((1, 2, 1, 2, 0)))) % _SMALL.rows_per_bank
+    return draw(_spelled(bank, row_a, group)), draw(_spelled(bank, row_b, group_b))
+
+
+@st.composite
+def _store_calls(draw):
+    kind = draw(st.sampled_from(("write_word", "write_word", "write_spare", "write_replicated",
+                                 "read_word", "cim_not", "cim_word", "cim_word", "vcim")))
+    if kind == "write_word":
+        return kind, draw(_ANY_ADDR), draw(_DATA)
+    if kind == "write_spare":
+        return kind, draw(st.integers(-1, _SMALL.banks)), draw(_DATA)
+    if kind == "write_replicated":
+        return (kind, draw(st.integers(-1, _SMALL.banks)),
+                draw(st.integers(-1, _SMALL.rows_per_bank)), draw(_DATA))
+    if kind in ("read_word", "cim_not"):
+        return kind, draw(_ANY_ADDR)
+    op = draw(st.sampled_from(list(CimOp)))
+    if kind == "cim_word":
+        return (kind, op) + draw(_operand_pair())
+    return ((kind, op) + draw(_operand_pair())
+            + (draw(st.sampled_from((4, 8))), draw(st.sampled_from(("sum", "zcmp")))))
+
+
+def _outcome(fn, call):
+    try:
+        return "ok", fn(call)
+    except ValueError:
+        return "ValueError", None
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.lists(_store_calls(), max_size=40))
+def test_store_matches_coordinate_model(calls):
+    arr, model = CimArray(_SMALL), _StoreModel(_SMALL)
+    for call in calls:
+        got = _outcome(lambda c: getattr(arr, c[0])(*c[1:]), call)
+        assert got == _outcome(model.apply, call), call
+        assert arr.counters == model.counters, call
+    # The whole store, spare rows included, reads back through NOT.
+    for bank in range(_SMALL.banks):
+        for row in range(_SMALL.rows_per_bank):
+            for group in range(_SMALL.words_per_row):
+                want = model.words.get((bank, row, group), 0) ^ _MASK8
+                assert arr.cim_not(Addr(bank, row, group)) == (want, 1)
+
+
+@pytest.mark.parametrize("addr", [Addr(-1, 0, 0), Addr(0, 0, -1), Addr(0, -1, 0)])
+def test_negative_addr_coordinates_rejected(addr):
+    arr = CimArray()
+    for call in (lambda: arr.write_word(addr, 1), lambda: arr.read_word(addr),
+                 lambda: arr.cim_not(addr)):
+        with pytest.raises(ValueError):
+            call()
+    assert arr.counters == AccessCounters()

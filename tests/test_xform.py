@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sttcim import xform
+from sttcim import bench, xform
 from sttcim.cimarray import ArrayConfig, CimArray, SPARE_ALIAS
 from sttcim.cpu import Cpu, Program, format_program, parse_program
-from sttcim.mapper import plan_type1, plan_type2
+from sttcim.mapper import MapPlan, PlanSegment, plan_type1, plan_type2
 from sttcim.xform import addresses_aligned, transform, verify_equivalence
 
 CFG = ArrayConfig()
@@ -372,6 +372,43 @@ def test_verify_equivalence_accepts_and_rejects():
     # and one that cannot halt is never equivalent
     stuck = parse_program("loop:\n JMP loop\n HALT")
     assert not verify_equivalence(prog, stuck, plan, seed=3, max_steps=2000)
+
+
+@pytest.mark.parametrize("base, length", [(CFG.total_words - 4, 8), (-1, 2), (SPARE_ALIAS, 1)])
+def test_verify_equivalence_rejects_segment_outside_data_words(base, length):
+    plan = MapPlan(CFG, "type1", {"A": length}, (PlanSegment("A", 0, base, length),))
+    prog = parse_program("HALT")
+    with pytest.raises(ValueError):
+        verify_equivalence(prog, prog, plan)
+
+
+def _straight_line_windows(count):
+    """count const-proved LDW/LDW/op windows, then a forward branch over a
+    labelled store, so every rewrite moves a label and a branch target."""
+    lines = []
+    for k in range(count):
+        a = k % CFG.words_per_row  # bank 0, row 0
+        b = a + CFG.words_per_row * (1 + k % (CFG.data_rows - 1))
+        lines += [f"ADDI r1, r0, {a}", f"ADDI r2, r0, {b}", "LDW r5, 0(r1)",
+                  "LDW r6, 0(r2)", "XOR r7, r5, r6", f"STW r7, {4096 + k}(r0)"]
+    return "\n".join(lines + ["BEQ r7, r0, done", "STW r7, 100(r0)", "done: HALT"])
+
+
+def test_cfg_facts_built_once_per_transform(monkeypatch):
+    straight = parse_program(_straight_line_windows(120))
+    loop, _, loop_plan = bench.transform_pair("vecsum")
+    calls = []
+    label_map = Program.label_map
+
+    def counting(self):
+        calls.append(len(self))
+        return label_map(self)
+
+    monkeypatch.setattr(Program, "label_map", counting)
+    for prog, plan, rewrites in ((straight, PLAN, 120), (loop, loop_plan, 1)):
+        calls.clear()
+        assert len(transform(prog, plan).rewrites) == rewrites
+        assert calls == [len(prog)]
 
 
 def test_rewrite_that_leaves_two_writers_reopens_earlier_window():
