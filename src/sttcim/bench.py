@@ -141,8 +141,15 @@ def _single_segment(plan: MapPlan, *names: str) -> None:
             raise BenchError(f"operand {name} spans banks; pick a smaller n")
 
 
-def _setup_xorcipher(mode, n, seed, config):
-    plan = plan_type1(config, n)
+def _lanes(mode: str, n: int) -> int:
+    """Lane count of a vector mode; n must be a multiple of it."""
+    lanes = int(mode[3:])
+    if n % lanes:
+        raise BenchError("n must be a lane multiple")
+    return lanes
+
+
+def _setup_xorcipher(plan, mode, n, seed):
     _single_segment(plan, "A", "B")
     rng = random.Random(seed)
     a = _words(rng, n)
@@ -188,8 +195,7 @@ def _blit_plan(config: ArrayConfig, n: int) -> MapPlan:
                    segments=segments, banks_used=1)
 
 
-def _setup_blit(mode, n, seed, config):
-    plan = _blit_plan(config, n)
+def _setup_blit(plan, mode, n, seed):
     rng = random.Random(seed)
     sprite = _words(rng, n)
     mask = _words(rng, n)
@@ -231,8 +237,8 @@ def _setup_blit(mode, n, seed, config):
     return _Setup(parse_program(src), prime, reference, range(2 * n, 3 * n))
 
 
-def _setup_vecsum(mode, n, seed, config):
-    plan = plan_type1(config, n)
+def _setup_vecsum(plan, mode, n, seed):
+    config = plan.config
     _single_segment(plan, "A", "B")
     rng = random.Random(seed)
     a = _words(rng, n)
@@ -258,9 +264,7 @@ def _setup_vecsum(mode, n, seed, config):
             HALT
         """)
     else:
-        lanes = int(mode[3:])
-        if n % lanes:
-            raise BenchError("n must be a lane multiple")
+        lanes = _lanes(mode, n)
         prog = parse_program(f"""
             ADDI r1, r0, {base}
             ADDI r2, r0, {bbase}
@@ -285,8 +289,8 @@ def _setup_vecsum(mode, n, seed, config):
     return _Setup(prog, prime, reference, range(out, out + 1))
 
 
-def _setup_strmatch(mode, n, seed, config):
-    m = _PATTERN_WORDS
+def _setup_strmatch(plan, mode, n, seed):
+    config, m = plan.config, _PATTERN_WORDS
     if n < 4 * m - 3:  # the match planted at 3n/4 must end inside the text
         raise BenchError(f"strmatch needs n >= {4 * m - 3}, got {n}")
     rng = random.Random(seed)
@@ -336,7 +340,6 @@ def _setup_strmatch(mode, n, seed, config):
                 arr.write_word(p_base + j, w)
 
     else:
-        plan = plan_type3(config, n, m)
         _single_segment(plan, "T")
         t_base = plan.address("T", 0)
         group_mask = config.words_per_row - 1
@@ -374,8 +377,8 @@ def _setup_strmatch(mode, n, seed, config):
     return _Setup(prog, prime, reference, range(out, out + 1))
 
 
-def _setup_editdist(mode, n, seed, config):
-    plan = plan_type2(config, n)
+def _setup_editdist(plan, mode, n, seed):
+    config = plan.config
     _single_segment(plan, "A")
     rng = random.Random(seed)
     x = _words(rng, n)
@@ -425,9 +428,7 @@ def _setup_editdist(mode, n, seed, config):
             HALT
         """
     else:
-        lanes = int(mode[3:])
-        if n % lanes:
-            raise BenchError("n must be a lane multiple")
+        lanes = _lanes(mode, n)
         src = f"""
             ADDI r11, r0, {key}
             SPWR r11, 1
@@ -454,7 +455,6 @@ def _setup_editdist(mode, n, seed, config):
         for i in range(n):
             arr.write_word(plan.address("A", i), x[i])
         if needs_table:
-            lanes = int(mode[3:])
             for mask_val in range(1 << lanes):
                 matches = lanes - bin(mask_val).count("1")
                 arr.write_word(table_base + mask_val, matches)
@@ -462,8 +462,8 @@ def _setup_editdist(mode, n, seed, config):
     return _Setup(prog, prime, reference, range(out, out + 1))
 
 
-def _setup_saxpy(mode, n, seed, config):
-    plan = plan_type2(config, n)
+def _setup_saxpy(plan, mode, n, seed):
+    config = plan.config
     _single_segment(plan, "A")
     rng = random.Random(seed)
     x = _words(rng, n)
@@ -505,9 +505,7 @@ def _setup_saxpy(mode, n, seed, config):
             HALT
         """
     else:
-        lanes = int(mode[3:])
-        if n % lanes:
-            raise BenchError("n must be a lane multiple")
+        lanes = _lanes(mode, n)
         src = f"""
             ADDI r11, r0, {a_val}
             SPWR r11, 1
@@ -532,8 +530,10 @@ def _setup_saxpy(mode, n, seed, config):
     return _Setup(parse_program(src), prime, reference, range(out, out + 1))
 
 
-# run_kernel has checked the mode; the cim modes of _REWRITES come from the
-# rewriter, so those builders only make the baseline.
+# Builders take (plan, mode, n, seed), the plan from the kernel's planner,
+# built once per run.  run_kernel has checked the mode; the cim modes of
+# _REWRITES come from the rewriter, so those builders only make the baseline.
+# strmatch's baseline keeps its own layout and ignores the plan.
 _BUILDERS = {
     "xorcipher": _setup_xorcipher,
     "blit": _setup_blit,
@@ -556,8 +556,8 @@ _PLANNERS = {
 def _rewritten(kernel: str, n: int, seed: int, config: ArrayConfig):
     """Baseline setup, its transform report under the kernel's plan, and the
     plan; raises unless the transform makes the kernel's expected rewrites."""
-    setup = _BUILDERS[kernel]("base", n, seed, config)
     plan = _PLANNERS[kernel](config, n)
+    setup = _BUILDERS[kernel](plan, "base", n, seed)
     report = transform(setup.program, plan)
     expected = _REWRITES.get(kernel, 0)
     if len(report.rewrites) != expected:
@@ -598,7 +598,7 @@ def run_kernel(kernel: str, mode: str, n: int | None = None, latency: int = 1,
         setup = replace(setup, program=report.program)
         rewrites = len(report.rewrites)
     else:
-        setup = _BUILDERS[kernel](mode, size, seed, cfg)
+        setup = _BUILDERS[kernel](_PLANNERS[kernel](cfg, size), mode, size, seed)
         rewrites = 0
     arr = CimArray(cfg)
     setup.prime(arr)

@@ -8,6 +8,10 @@ through the alias window (base address + ``SPARE_ALIAS``) as a
 compute-in-memory operand, and fill it with a broadcast special write.  The
 store holds one codeword per slot: data words at their linear address, then
 the spare rows, bank b's group g at ``total_words + b * words_per_row + g``.
+Two functions are the layout's only home: ``_locate`` turns an ``Addr``, a
+linear address or a spare alias into its slot and (bank, row, group), and
+``_pair`` states the two-row rule (one bank, one word group, distinct rows)
+for the CiM and vector accesses and for the rewriter.
 
 An in-array access activates one row (READ, NOT) or two rows (the rest) and
 senses every column of one word in parallel.  Each column carries two
@@ -127,8 +131,8 @@ class ArrayConfig:
     """Array geometry and word protection.
 
     rows_per_bank includes the spare row; the linear address space covers
-    rows_per_bank - 1 data rows per bank.  vector_length is the lane count
-    of the vector unit (4 or 8).
+    rows_per_bank - 1 data rows per bank and ends below SPARE_ALIAS.
+    vector_length is the lane count of the vector unit (4 or 8).
     """
 
     banks: int = 4
@@ -147,6 +151,9 @@ class ArrayConfig:
             raise ValueError("vector_length must be 4 or 8")
         if self.vector_length > self.words_per_row:
             raise ValueError("vector_length cannot exceed words_per_row")
+        if self.total_words > SPARE_ALIAS:
+            raise ValueError(f"{self.total_words} data words reach the spare-row alias "
+                             f"window at {SPARE_ALIAS}")
         make_code(self.code, self.word_width)
 
     @cached_property
@@ -179,11 +186,7 @@ class Addr:
 
     @classmethod
     def from_linear(cls, config: ArrayConfig, linear: int) -> "Addr":
-        if not 0 <= linear < config.total_words:
-            raise ValueError(f"linear address {linear} out of range")
-        group = linear % config.words_per_row
-        rows = linear // config.words_per_row
-        return cls(bank=rows // config.data_rows, row=rows % config.data_rows, group=group)
+        return cls(*_locate(config, linear)[1:])
 
 
 @dataclass
@@ -396,33 +399,47 @@ class DeviceColumnSampler(_BlockSampler):
 _TWO_ROW_OPS = (CimOp.AND, CimOp.OR, CimOp.NAND, CimOp.NOR, CimOp.XOR, CimOp.ADD)
 
 
-def _coords(config: ArrayConfig, slot: int) -> tuple[int, int, int]:
-    """(bank, row, group) of a store slot."""
+def _locate(config: ArrayConfig, addr, spare_ok: bool = False) -> tuple[int, int, int, int]:
+    """(slot, bank, row, group) of an Addr or a linear address.  With
+    spare_ok, a spare-row Addr and a spare alias (SPARE_ALIAS plus a base
+    address: the spare-row word column-aligned with the base) are valid."""
     words_per_row = config.words_per_row
-    if slot >= config.total_words:
-        slot -= config.total_words
-        return slot // words_per_row, config.spare_row, slot % words_per_row
-    return (slot // config.words_per_bank, slot // words_per_row % config.data_rows,
-            slot % words_per_row)
-
-
-def _spare_slot(config: ArrayConfig, bank: int, group: int) -> int:
-    """Slot of group of a bank's spare row."""
-    return config.total_words + bank * config.words_per_row + group
-
-
-def _slot(config: ArrayConfig, linear: int) -> int:
-    """Store slot of a linear address; at SPARE_ALIAS and above, of the
-    spare-row word column-aligned with the base address."""
-    total = config.total_words
+    if isinstance(addr, Addr):
+        bank, row, group = addr.bank, addr.row, addr.group
+        if not (0 <= bank < config.banks and 0 <= group < words_per_row):
+            raise ValueError(f"{addr} out of range")
+        if 0 <= row < config.data_rows:
+            return addr.to_linear(config), bank, row, group
+        if spare_ok and row == config.spare_row:
+            return config.total_words + bank * words_per_row + group, bank, row, group
+        raise ValueError(f"{addr} row out of range")
+    slot = linear = int(addr)
     if linear >= SPARE_ALIAS:
-        base = linear - SPARE_ALIAS
-        if not 0 <= base < total:
-            raise ValueError(f"linear address {base} out of range")
-        return _spare_slot(config, base // config.words_per_bank, base % config.words_per_row)
+        if not spare_ok:
+            raise ValueError("spare-row alias is only valid as a CiM operand")
+        linear -= SPARE_ALIAS
+    total, data_rows = config.total_words, config.data_rows
     if not 0 <= linear < total:
         raise ValueError(f"linear address {linear} out of range")
-    return linear
+    rows = linear // words_per_row
+    bank, group = rows // data_rows, linear % words_per_row
+    if slot == linear:
+        return slot, bank, rows % data_rows, group
+    return total + bank * words_per_row + group, bank, config.spare_row, group
+
+
+def _pair(config: ArrayConfig, addr_a, addr_b) -> tuple[int, int, int]:
+    """(slot_a, slot_b, group) of a two-row operand pair; raises ValueError
+    unless the words share a bank and a word group in distinct rows."""
+    slot_a, bank, row, group = _locate(config, addr_a, True)
+    slot_b, bank_b, row_b, group_b = _locate(config, addr_b, True)
+    if bank != bank_b:
+        raise ValueError("CiM operands must share a bank")
+    if group != group_b:
+        raise ValueError("CiM operands must be column-aligned")
+    if row == row_b:
+        raise ValueError("CiM operands must be distinct rows")
+    return slot_a, slot_b, group
 
 
 class CimArray:
@@ -441,29 +458,16 @@ class CimArray:
         self._access = 0
         self._n = self.code.n
         self._data_mask = (1 << config.word_width) - 1
-        # Linear addresses below the limit are data words, their own slots.
-        self._linear_limit = min(config.total_words, SPARE_ALIAS)
+        self._total_words = config.total_words
 
     # -- addressing -----------------------------------------------------
 
     def _resolve(self, addr, spare_ok: bool = False) -> int:
-        """Store slot of an address."""
-        if type(addr) is int and 0 <= addr < self._linear_limit:
+        """Store slot of an address; a data word's linear address is its
+        own slot."""
+        if type(addr) is int and 0 <= addr < self._total_words:
             return addr
-        config = self.config
-        if isinstance(addr, Addr):
-            bank, row, group = addr.bank, addr.row, addr.group
-            if not (0 <= bank < config.banks and 0 <= group < config.words_per_row):
-                raise ValueError(f"{addr} out of range")
-            if 0 <= row < config.data_rows:
-                return addr.to_linear(config)
-            if spare_ok and row == config.spare_row:
-                return _spare_slot(config, bank, group)
-            raise ValueError(f"{addr} row out of range")
-        linear = int(addr)
-        if linear >= SPARE_ALIAS and not spare_ok:
-            raise ValueError("spare-row alias is only valid as a CiM operand")
-        return _slot(config, linear)
+        return _locate(self.config, addr, spare_ok)[0]
 
     # -- scalar accesses -------------------------------------------------
 
@@ -475,7 +479,7 @@ class CimArray:
         """Broadcast one word into every group of a bank's spare row."""
         if not 0 <= bank < self.config.banks:
             raise ValueError("bank out of range")
-        self._fill_row(_spare_slot(self.config, bank, 0), data)
+        self._fill_row(bank, self.config.spare_row, data)
         self.counters.special_writes += 1
 
     def write_replicated(self, bank: int, row: int, data: int) -> None:
@@ -485,18 +489,23 @@ class CimArray:
             raise ValueError("bank out of range")
         if not 0 <= row < self.config.data_rows:
             raise ValueError("row out of range")
-        self._fill_row(Addr(bank, row, 0).to_linear(self.config), data)
+        self._fill_row(bank, row, data)
         self.counters.writes += self.config.words_per_row
 
-    def _fill_row(self, start: int, data: int) -> None:
+    def _fill_row(self, bank: int, row: int, data: int) -> None:
+        start = _locate(self.config, Addr(bank, row, 0), spare_ok=True)[0]
         words_per_row = self.config.words_per_row
         self._words[start : start + words_per_row] = [self.code.encode(data)] * words_per_row
 
-    def _sense_read(self, slot: int) -> int:
+    def _read(self, slot: int, near_memory: bool = False) -> int:
+        """Sense and decode one stored word.  Near-memory fallback reads
+        are their own traffic category."""
         self._access += 1
-        return self.sampler.sense_read(self._access, self._words[slot], self._n)
-
-    def _decode_read(self, sensed: int):
+        sensed = self.sampler.sense_read(self._access, self._words[slot], self._n)
+        if near_memory:
+            self.counters.nm_reads += 1
+        else:
+            self.counters.reads += 1
         res = self.code.decode(sensed)
         if res.status is DecodeStatus.DETECTED_UNCORRECTABLE:
             raise HardError("uncorrectable word on read")
@@ -505,20 +514,14 @@ class CimArray:
         return res.data
 
     def read_word(self, addr) -> int:
-        sensed = self._sense_read(self._resolve(addr))
-        self.counters.reads += 1
-        return self._decode_read(sensed)
-
-    def _nm_read(self, slot: int) -> int:
-        """Near-memory fallback read; separate traffic category."""
-        sensed = self._sense_read(slot)
-        self.counters.nm_reads += 1
-        return self._decode_read(sensed)
+        return self._read(self._resolve(addr))
 
     def cim_not(self, addr) -> tuple[int, int]:
         """Single-row inverted read.  No XOR sideband exists for one
         operand, so sensing errors here are invisible to the controller."""
-        sensed = self._sense_read(self._resolve(addr, spare_ok=True))
+        slot = self._resolve(addr, spare_ok=True)
+        self._access += 1
+        sensed = self.sampler.sense_read(self._access, self._words[slot], self._n)
         self.counters.cim_ops += 1
         return self.code.extract(sensed) ^ self._data_mask, 1
 
@@ -542,16 +545,7 @@ class CimArray:
         """Two-row in-array op.  Returns (result data, array accesses)."""
         if op not in _TWO_ROW_OPS:
             raise ValueError(f"{op!r} is not a two-row op")
-        a = self._resolve(addr_a, spare_ok=True)
-        b = self._resolve(addr_b, spare_ok=True)
-        bank, row, group = _coords(self.config, a)
-        bank_b, row_b, group_b = _coords(self.config, b)
-        if bank != bank_b:
-            raise ValueError("CiM operands must share a bank")
-        if group != group_b:
-            raise ValueError("CiM operands must be column-aligned")
-        if row == row_b:
-            raise ValueError("CiM operands must be distinct rows")
+        a, b, _ = _pair(self.config, addr_a, addr_b)
         self._access += 1
         self.counters.cim_ops += 1
         o_or, o_and = self.sampler.sense_pair(
@@ -566,8 +560,8 @@ class CimArray:
                 self.counters.xor_fixups += 1
                 return res.data, 1
             self.counters.fallbacks += 1
-            da = self._nm_read(a)
-            db = self._nm_read(b)
+            da = self._read(a, near_memory=True)
+            db = self._read(b, near_memory=True)
             return self._alu(op, da, db), 3
         raise HardError("uncorrectable XOR lane on CiM access")
 
@@ -602,12 +596,7 @@ class CimArray:
             raise ValueError("reduce must be sum or zcmp")
         if op not in _TWO_ROW_OPS:
             raise ValueError(f"{op!r} is not a two-row op")
-        a = self._resolve(addr_a, spare_ok=True)
-        b = self._resolve(addr_b, spare_ok=True)
-        bank, row_a, group = _coords(self.config, a)
-        bank_b, row_b, group_b = _coords(self.config, b)
-        if bank != bank_b or group != group_b or row_a == row_b:
-            raise ValueError("vector operands must be aligned rows of one bank")
+        a, b, group = _pair(self.config, addr_a, addr_b)
         if group + lanes > self.config.words_per_row:
             raise ValueError("vector access crosses a row boundary")
         self.counters.vcim_ops += 1

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cimarray import Addr, ArrayConfig, SPARE_ALIAS
+from .cimarray import Addr, ArrayConfig, SPARE_ALIAS, _locate
 
 __all__ = [
     "PlanError",
@@ -93,8 +93,8 @@ class MapPlan:
             raise PlanError("pattern operands only exist for type3 plans")
         if not 0 <= j < self.replicated_rows:
             raise IndexError("pattern word index out of range")
-        a = Addr.from_linear(self.config, text_addr)
-        return Addr(a.bank, j, a.group).to_linear(self.config)
+        _, bank, _, group = _locate(self.config, text_addr)
+        return _locate(self.config, Addr(bank, j, group))[0]
 
     def text(self) -> str:
         cfg = self.config

@@ -61,7 +61,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .cimarray import SPARE_ALIAS, ArrayConfig, CimArray, _coords, _slot
+from .cimarray import SPARE_ALIAS, ArrayConfig, CimArray, _pair
 from .cpu import _ALU_FNS, _LABEL_OPS, Cpu, CpuFault, Instruction, Program, _uses
 from .mapper import MapPlan
 
@@ -98,11 +98,10 @@ class XformReport:
 def addresses_aligned(config: ArrayConfig, addr_a: int, addr_b: int) -> bool:
     """True iff the pair satisfies the two-row access constraints."""
     try:
-        a, b = _slot(config, addr_a), _slot(config, addr_b)
+        _pair(config, addr_a, addr_b)
     except ValueError:
         return False
-    (bank_a, row_a, group_a), (bank_b, row_b, group_b) = _coords(config, a), _coords(config, b)
-    return bank_a == bank_b and group_a == group_b and row_a != row_b
+    return True
 
 
 def _successors(prog: Program, labels: dict[str, int], i: int) -> list[int]:

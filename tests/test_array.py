@@ -24,6 +24,7 @@ from sttcim.cimarray import (
 )
 from sttcim.device import ConfigError, DeviceParams, VariationSpec, cell_factors
 from sttcim.streams import uniforms
+from sttcim.xform import addresses_aligned
 
 
 def test_control_table_frozen():
@@ -67,6 +68,16 @@ def test_config_validation():
         ArrayConfig(rows_per_bank=1)
     with pytest.raises(ValueError):
         ArrayConfig(code="nope")
+
+
+def test_data_words_end_below_the_spare_alias():
+    # 2^21 data words would give linear addresses SPARE_ALIAS and up two
+    # meanings: a data word and a spare-row alias.
+    with pytest.raises(ValueError, match="reach the spare-row alias"):
+        ArrayConfig(banks=128, rows_per_bank=1025, words_per_row=16)
+    assert ArrayConfig(banks=64, rows_per_bank=1025, words_per_row=16).total_words == SPARE_ALIAS
+    with pytest.raises(ValueError, match="^spare-row alias is only valid as a CiM operand$"):
+        Addr.from_linear(ArrayConfig(), SPARE_ALIAS + 5)
 
 
 def test_write_read_roundtrip():
@@ -116,6 +127,23 @@ def test_operand_alignment_enforced():
         arr.cim_word(CimOp.AND, Addr(0, 0, 0), Addr(0, 0, 0))
     with pytest.raises(ValueError):
         arr.cim_word(CimOp.READ, Addr(0, 0, 0), Addr(0, 1, 0))
+
+
+@pytest.mark.parametrize("call", ["cim_word", "vcim"])
+@pytest.mark.parametrize("addr_a, addr_b, message", [
+    (Addr(0, 0, 0), Addr(1, 1, 0), "CiM operands must share a bank"),
+    (Addr(0, 0, 0), Addr(0, 1, 1), "CiM operands must be column-aligned"),
+    (Addr(0, 0, 0), Addr(0, 0, 0), "CiM operands must be distinct rows"),
+    (0, 2048 + SPARE_ALIAS, "CiM operands must share a bank"),
+    (0, 1 + SPARE_ALIAS, "CiM operands must be column-aligned"),
+    (Addr(0, 128, 0), 16 + SPARE_ALIAS, "CiM operands must be distinct rows"),
+])
+def test_misaligned_operands_name_the_broken_rule(call, addr_a, addr_b, message):
+    arr = CimArray()
+    args = (CimOp.AND, addr_a, addr_b) + ((4, "sum") if call == "vcim" else ())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        getattr(arr, call)(*args)
+    assert arr.counters == AccessCounters()
 
 
 def test_spare_alias_semantics():
@@ -617,6 +645,12 @@ class _StoreModel:
             value = words.get(self.coords(args[0], True), 0)
             c.cim_ops += 1
             return value ^ _MASK8, 1
+        elif name == "addresses_aligned":
+            try:
+                self.pair(CimOp.AND, *args)
+            except ValueError:
+                return False
+            return True
         elif name == "cim_word":
             bank, row_a, row_b, group = self.pair(*args)
             c.cim_ops += 1
@@ -673,10 +707,21 @@ def _operand_pair(draw):
     return draw(_spelled(bank, row_a, group)), draw(_spelled(bank, row_b, group_b))
 
 
+def _as_int(addr):
+    """An operand as the rewriter sees it: a linear address, or a spare
+    alias for a spare-row word."""
+    if not isinstance(addr, Addr):
+        return addr
+    if addr.row == _SPARE_ROW:
+        return SPARE_ALIAS + Addr(addr.bank, 0, addr.group).to_linear(_SMALL)
+    return addr.to_linear(_SMALL)
+
+
 @st.composite
 def _store_calls(draw):
     kind = draw(st.sampled_from(("write_word", "write_word", "write_spare", "write_replicated",
-                                 "read_word", "cim_not", "cim_word", "cim_word", "vcim")))
+                                 "read_word", "cim_not", "cim_word", "cim_word", "vcim",
+                                 "addresses_aligned")))
     if kind == "write_word":
         return kind, draw(_ANY_ADDR), draw(_DATA)
     if kind == "write_spare":
@@ -686,6 +731,8 @@ def _store_calls(draw):
                 draw(st.integers(-1, _SMALL.rows_per_bank)), draw(_DATA))
     if kind in ("read_word", "cim_not"):
         return kind, draw(_ANY_ADDR)
+    if kind == "addresses_aligned":
+        return (kind,) + tuple(_as_int(a) for a in draw(_operand_pair()))
     op = draw(st.sampled_from(list(CimOp)))
     if kind == "cim_word":
         return (kind, op) + draw(_operand_pair())
@@ -704,8 +751,14 @@ def _outcome(fn, call):
 @given(st.lists(_store_calls(), max_size=40))
 def test_store_matches_coordinate_model(calls):
     arr, model = CimArray(_SMALL), _StoreModel(_SMALL)
+
+    def run(call):
+        if call[0] == "addresses_aligned":
+            return addresses_aligned(_SMALL, *call[1:])
+        return getattr(arr, call[0])(*call[1:])
+
     for call in calls:
-        got = _outcome(lambda c: getattr(arr, c[0])(*c[1:]), call)
+        got = _outcome(run, call)
         assert got == _outcome(model.apply, call), call
         assert arr.counters == model.counters, call
     # The whole store, spare rows included, reads back through NOT.

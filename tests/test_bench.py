@@ -247,3 +247,25 @@ def test_rewritten_mode_runs_the_transform_pair_program(kernel, monkeypatch):
     _, report, _ = transform_pair(kernel, n=64)
     assert ran == [report.program]
     assert run.rewrites == len(report.rewrites) > 0
+
+
+@pytest.mark.parametrize("kernel, mode", [("xorcipher", "cim"), ("blit", "cim"),
+                                          ("vecsum", "cim"), ("vecsum", "vec8")])
+def test_one_plan_per_kernel_run(kernel, mode, monkeypatch):
+    planned = []
+
+    def counting(fn):
+        def plan(*args):
+            planned.append(fn.__name__)
+            return fn(*args)
+        return plan
+
+    # Count a planner reached by name or through the table.
+    for name in ("plan_type1", "plan_type2", "plan_type3", "_blit_plan"):
+        fn = getattr(bench, name)
+        monkeypatch.setattr(bench, name, counting(fn))
+        for k, planner in list(bench._PLANNERS.items()):
+            if planner is fn:
+                monkeypatch.setitem(bench._PLANNERS, k, getattr(bench, name))
+    run_kernel(kernel, mode, n=64)
+    assert len(planned) == 1, planned
