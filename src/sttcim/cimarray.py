@@ -182,7 +182,8 @@ class Addr:
     group: int
 
     def to_linear(self, config: ArrayConfig) -> int:
-        return (self.bank * config.data_rows + self.row) * config.words_per_row + self.group
+        """Linear address of a data word; ValueError outside the data rows."""
+        return _locate(config, self)[0]
 
     @classmethod
     def from_linear(cls, config: ArrayConfig, linear: int) -> "Addr":
@@ -397,6 +398,10 @@ class DeviceColumnSampler(_BlockSampler):
 
 
 _TWO_ROW_OPS = (CimOp.AND, CimOp.OR, CimOp.NAND, CimOp.NOR, CimOp.XOR, CimOp.ADD)
+# Module names for the members the access paths test: an Enum member looked
+# up on its class costs about ten global lookups on CPython 3.11.
+_AND, _OR, _NAND, _NOR, _XOR, _ADD = _TWO_ROW_OPS
+_CLEAN, _CORRECTED, _DETECTED = DecodeStatus
 
 
 def _locate(config: ArrayConfig, addr, spare_ok: bool = False) -> tuple[int, int, int, int]:
@@ -409,7 +414,7 @@ def _locate(config: ArrayConfig, addr, spare_ok: bool = False) -> tuple[int, int
         if not (0 <= bank < config.banks and 0 <= group < words_per_row):
             raise ValueError(f"{addr} out of range")
         if 0 <= row < config.data_rows:
-            return addr.to_linear(config), bank, row, group
+            return (bank * config.data_rows + row) * words_per_row + group, bank, row, group
         if spare_ok and row == config.spare_row:
             return config.total_words + bank * words_per_row + group, bank, row, group
         raise ValueError(f"{addr} row out of range")
@@ -507,9 +512,9 @@ class CimArray:
         else:
             self.counters.reads += 1
         res = self.code.decode(sensed)
-        if res.status is DecodeStatus.DETECTED_UNCORRECTABLE:
-            raise HardError("uncorrectable word on read")
-        if res.status is DecodeStatus.CORRECTED:
+        if res.status is not _CLEAN:
+            if res.status is _DETECTED:
+                raise HardError("uncorrectable word on read")
             self.counters.corrected_words += 1
         return res.data
 
@@ -527,17 +532,17 @@ class CimArray:
 
     def _alu(self, op: CimOp, a: int, b: int) -> int:
         mask = self._data_mask
-        if op is CimOp.AND:
+        if op is _AND:
             return a & b
-        if op is CimOp.OR:
+        if op is _OR:
             return a | b
-        if op is CimOp.NAND:
+        if op is _NAND:
             return (a & b) ^ mask
-        if op is CimOp.NOR:
+        if op is _NOR:
             return (a | b) ^ mask
-        if op is CimOp.XOR:
+        if op is _XOR:
             return a ^ b
-        if op is CimOp.ADD:
+        if op is _ADD:
             return a + b  # carry-out kept at bit word_width
         raise ValueError(f"not a two-operand op: {op}")
 
@@ -552,11 +557,11 @@ class CimArray:
             self._access, self._words[a], self._words[b], self._n
         )
         res = self.code.decode(o_or & ~o_and)
-        if res.status is DecodeStatus.CLEAN:
+        if res.status is _CLEAN:
             return self._op_output(op, o_or, o_and, res.data), 1
-        if res.status is DecodeStatus.CORRECTED:
+        if res.status is _CORRECTED:
             self.counters.corrected_words += 1
-            if op is CimOp.XOR:
+            if op is _XOR:
                 self.counters.xor_fixups += 1
                 return res.data, 1
             self.counters.fallbacks += 1
@@ -568,15 +573,15 @@ class CimArray:
     def _op_output(self, op: CimOp, o_or: int, o_and: int, xor_data: int) -> int:
         """The requested output from a clean access's comparator masks;
         xor_data is the data of the XOR lane (ADD: see the module notes)."""
-        if op is CimOp.XOR:
+        if op is _XOR:
             return xor_data
-        if op is CimOp.ADD:
+        if op is _ADD:
             return xor_data + 2 * self.code.extract(o_and)
-        if op is CimOp.AND:
+        if op is _AND:
             return self.code.extract(o_and)
-        if op is CimOp.OR:
+        if op is _OR:
             return self.code.extract(o_or)
-        if op is CimOp.NAND:
+        if op is _NAND:
             return self.code.extract(o_and) ^ self._data_mask
         return self.code.extract(o_or) ^ self._data_mask  # NOR
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .streams import unit_normals
+from .streams import _NORMALS, _draw, unit_normals
 
 __all__ = [
     "ConfigError",
@@ -251,18 +251,26 @@ SENSED_SLOTS = (0, 1, 2, 3, 5, 7)
 _BLOCK = 2048
 
 
-def cell_factors(params, variation, seed, cell_indices):
+def cell_factors(params, variation, seed, cell_indices, buffers=None):
     """Vectorized variation draws for the given cell indices.
 
     Returns (mtj_factor, r_t_eff) arrays shaped like cell_indices.  The MTJ
     factor multiplies any nominal junction resistance of that cell; the
-    oxide and area draws are common to r_p and r_ap of the cell.
+    oxide and area draws are common to r_p and r_ap of the cell.  buffers,
+    from _draw_buffers, hold the draws instead of fresh arrays.
     """
     idx = np.asarray(cell_indices, dtype=np.uint64)
     # One draw call for all three sources: row k holds word indices cell*3 + k.
     offsets = np.arange(_DRAWS_PER_CELL, dtype=np.uint64).reshape((-1,) + (1,) * idx.ndim)
-    draws = idx * np.uint64(_DRAWS_PER_CELL) + offsets
-    eps = unit_normals(seed, draws)
+    if buffers is None:
+        eps = unit_normals(seed, idx * np.uint64(_DRAWS_PER_CELL) + offsets)
+    else:
+        # The draw indices are written into the normals buffer and drawn in place.
+        shape = offsets.shape[:1] + idx.shape
+        eps, scratch = (b[:offsets.size * idx.size].reshape(shape) for b in buffers)
+        np.multiply(idx, np.uint64(_DRAWS_PER_CELL), out=eps)
+        np.add(eps, offsets, out=eps)
+        eps = _draw(seed, eps, _NORMALS, scratch)
     eps_tox, eps_area, eps_vt = eps
 
     for retry in range(_MAX_RETRIES + 1):
@@ -274,7 +282,8 @@ def cell_factors(params, variation, seed, cell_indices):
         if retry == _MAX_RETRIES:
             raise ConfigError("variation draws kept producing non-positive resistances")
         # Rehash only the offending cells at a distant index range.
-        eps[:, bad] = unit_normals(seed, draws[:, bad] + np.uint64(_RETRY_SHIFTS[retry]))
+        draws = idx[bad] * np.uint64(_DRAWS_PER_CELL) + offsets.reshape(-1, 1)
+        eps[:, bad] = unit_normals(seed, draws + np.uint64(_RETRY_SHIFTS[retry]))
 
     factor = np.exp(variation.tox_sensitivity * variation.sigma_tox * eps_tox) / denom
     return factor, r_t
@@ -308,12 +317,20 @@ def _disturb_per_cell(v, r_sl, r_self, r_other):
     return v * r_other / (r_sl * (r_self + r_other) + r_self * r_other)
 
 
-def _sample_block(params, variation, seed, first, terms):
+def _draw_buffers():
+    """Normals (drawn in place over their indices) and hash scratch for
+    one Monte Carlo block."""
+    size = _DRAWS_PER_CELL * len(SENSED_SLOTS) * _BLOCK
+    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+
+
+def _sample_block(params, variation, seed, first, terms, buffers):
     """Evaluate the samples first .. first + terms.shape[1] - 1.
 
     Writes their margin-low, margin-high, CiM-cell and read-cell current
     terms into the four rows of terms and returns the block's (read
-    failures, CiM failures, all-below-read) counts.
+    failures, CiM failures, all-below-read) counts.  buffers come from
+    _draw_buffers.
     """
     v = params.read_voltage
     r_sl = params.sl_resistance
@@ -322,7 +339,7 @@ def _sample_block(params, variation, seed, first, terms):
     # contiguous row.
     cells = np.arange(first, first + m, dtype=np.uint64) * np.uint64(CELLS_PER_SAMPLE)
     cells = cells + np.array(SENSED_SLOTS, dtype=np.uint64)[:, None]
-    factor, r_t = cell_factors(params, variation, seed, cells)
+    factor, r_t = cell_factors(params, variation, seed, cells, buffers=buffers)
     # Data cells: both junction states share the cell's draws.
     (tot_a_ap, tot_a_p), (tot_b_ap, tot_b_p), i_ref_read, i_ref_or, i_ref_and = (
         sensed_levels(params, factor, r_t))
@@ -401,13 +418,19 @@ def monte_carlo_failures(
     cim_fails = 0
     below = 0
     sums = [0.0, 0.0, 0.0, 0.0]  # margin low, margin high, CiM cell, read cell
+    # One set of draw buffers for every block: fresh ones per block would
+    # be mapped and faulted in again, block after block.  Two, not three:
+    # with a separate index buffer held as well, the benchmark's Monte
+    # Carlo passes ran about 11% slower than with fresh arrays.
+    buffers = _draw_buffers()
 
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
         terms = np.empty((4, m))
         for lo in range(0, m, _BLOCK):
             hi = min(lo + _BLOCK, m)
-            r, c, b = _sample_block(params, variation, seed, start + lo, terms[:, lo:hi])
+            r, c, b = _sample_block(params, variation, seed, start + lo, terms[:, lo:hi],
+                                    buffers)
             read_fails += r
             cim_fails += c
             below += b

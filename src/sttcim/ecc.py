@@ -20,18 +20,25 @@ Layout is [data | checks | parity] for ``Ec3Ed4``; ``Secded`` interleaves
 checks at power-of-two Hamming positions with the parity bit last.
 
 Both codes share one table-driven decoder (syndrome decoding, Lin &
-Costello, *Error Control Coding*, ch. 3).  Every codeword bit has a column
-syndrome: for ``Ec3Ed4`` the remainder of its polynomial term modulo the
-generator, for ``Secded`` its Hamming index, each with the overall-parity
-flag one bit above.  The syndrome of a word is the XOR of the columns of
-its set bits, computed as per-byte table lookups, and is zero exactly on
-codewords.  A nonzero syndrome is looked up among single columns, then
-(for t = 3) among pairs of columns, then as a pair plus one column; a miss
-everywhere means the word is uncorrectable.  With distance 8 (resp. 4)
-every error pattern of weight <= t has its own syndrome, so a hit names the
-unique codeword within distance t and a miss means there is none: this is
-the bounded-distance decoder.  The pair table is built on the first
-nonzero syndrome; clean decodes never pay for it.
+Costello, *Error Control Coding*, ch. 3).  Because both are systematic, a
+word is a codeword exactly when re-encoding its data bits gives the word
+back, and the XOR of the two, the re-encode residue, is the word's
+syndrome: linear, zero exactly on codewords, nonzero only on check and
+parity bits.  A decode therefore extracts the data bits, re-encodes them
+and compares once; a clean word costs that and nothing more.  A nonzero
+syndrome is looked up among the column syndromes (each codeword bit's
+residue when set alone), then (for t = 3) among pairs of columns, then as a
+pair plus one column; a miss everywhere means the word is uncorrectable.
+With distance 8 (resp. 4) every error pattern of weight <= t has its own
+syndrome, so a hit names the unique codeword within distance t and a miss
+means there is none: this is the bounded-distance decoder.  The pair table
+is built on the first nonzero syndrome; clean decodes never pay for it.
+
+Every linear map over bits (encoding, and ``Secded``'s data extraction; an
+``Ec3Ed4`` word keeps its data in its low bits, so a mask extracts it) is
+one generated expression: the input is cut into 11-bit fields, each field
+indexes a 2^11-entry table of XORs of its columns, and the lookups are
+unrolled into a single XOR.  A 32-bit ``Ec3Ed4`` encode is three lookups.
 """
 
 from __future__ import annotations
@@ -78,61 +85,81 @@ def _parity(x: int) -> int:
     return bin(x).count("1") & 1
 
 
-def _byte_tables(columns) -> tuple[list[int], ...]:
-    """Per-byte XOR tables: tables[k][v] is the XOR of columns[8k + i] over
-    the set bits i of v, so a linear map of x is the XOR of one lookup per
-    byte of x."""
-    tables = []
-    for k in range(0, len(columns), 8):
-        chunk = columns[k:k + 8]
+# 2^11-entry tables: a 32-bit data word is three lookups, and one table of
+# 51-bit codewords holds about 80 KB.
+_FIELD_BITS = 11
+
+
+def _linear_map(columns):
+    """The GF(2)-linear map sending x to the XOR of columns[i] over the set
+    bits i of x (bits of x past the last column are ignored), as one
+    unrolled expression: x is cut into 11-bit fields and field k indexes a
+    table holding the XOR of every subset of its columns."""
+    tables, terms = [], []
+    for k in range(0, len(columns), _FIELD_BITS):
+        chunk = columns[k:k + _FIELD_BITS]
         table = [0] * (1 << len(chunk))
         for v in range(1, len(table)):
             low = v & -v
             table[v] = table[v ^ low] ^ chunk[low.bit_length() - 1]
+        field = f"x >> {k}" if k else "x"
+        terms.append(f"t{len(tables)}[{field} & {len(table) - 1}]")
         tables.append(table)
-    return tuple(tables)
+    names = ", ".join(f"t{i}" for i in range(len(tables)))
+    scope: dict = {}
+    exec(f"def bind({names}):\n    return lambda x: {' ^ '.join(terms)}\n", scope)
+    return scope["bind"](*tables)
 
 
-def _lookup(tables, x: int) -> int:
-    acc = 0
-    for table in tables:
-        acc ^= table[x & 0xFF]
-        x >>= 8
-    return acc
+_CLEAN, _CORRECTED, _DETECTED = DecodeStatus
 
 
 class _SyndromeCode:
     """Table-driven encode and bounded-distance decode of a systematic
-    linear code, given each data bit's codeword and each codeword bit's
-    column syndrome."""
+    linear code of length n.  A subclass sets n, data_bits and
+    check_positions, provides ``extract`` (the data bits of a word) and
+    passes each data bit's codeword to _build_maps."""
 
     _T = 1
 
-    def _build_tables(self, data_codewords, columns) -> None:
-        self._encode_tables = _byte_tables(data_codewords)
-        self._syndrome_tables = _byte_tables(columns)
-        self._columns = columns
+    def _build_maps(self, data_codewords) -> None:
+        self._encode = encode = _linear_map(data_codewords)
+        # Per codeword bit: the data bits it holds (none for a check bit),
+        # and its column syndrome, the re-encode residue of the unit word.
+        # A residue has no bit below the lowest check position; shifted
+        # down by it, Ec3Ed4's syndromes are 19-bit ints, which hash and
+        # XOR faster than 51-bit ones in the lookups.
+        self._shift = shift = min(self.check_positions)
+        self._data_bit = [self.extract(1 << i) for i in range(self.n)]
+        self._columns = columns = [
+            ((1 << i) ^ encode(d)) >> shift for i, d in enumerate(self._data_bit)
+        ]
         self._singles = {c: (i,) for i, c in enumerate(columns)}
         self._pairs = None
 
+    # x >> k is nonzero both for x >= 2**k and for every negative x: one
+    # shift checks an input's range.
+
     def encode(self, data: int) -> int:
-        if data < 0 or data >> self.data_bits:
+        if data >> self.data_bits:
             raise ValueError("data out of range")
-        return _lookup(self._encode_tables, data)
+        return self._encode(data)
 
     def decode(self, word: int) -> DecodeResult:
-        if word < 0 or word >> self.n:
+        if word >> self.n:
             raise ValueError("word out of range")
-        syndrome = _lookup(self._syndrome_tables, word)
+        data = self.extract(word)
+        syndrome = word ^ self._encode(data)
         if not syndrome:
-            return DecodeResult(DecodeStatus.CLEAN, self.extract(word), word)
-        positions = self._error_positions(syndrome)
+            return DecodeResult(_CLEAN, data, word)
+        positions = self._error_positions(syndrome >> self._shift)
         if positions is None:
-            return DecodeResult(DecodeStatus.DETECTED_UNCORRECTABLE, None, None)
-        fixed = word
+            return DecodeResult(_DETECTED, None, None)
+        data_bit = self._data_bit
         for p in positions:
-            fixed ^= 1 << p
-        return DecodeResult(DecodeStatus.CORRECTED, self.extract(fixed), fixed, positions)
+            word ^= 1 << p
+            data ^= data_bit[p]
+        return DecodeResult(_CORRECTED, data, word, positions)
 
     def _error_positions(self, syndrome: int) -> tuple[int, ...] | None:
         """Sorted positions of the unique pattern of weight <= t with this
@@ -178,9 +205,10 @@ class Secded(_SyndromeCode):
             p - 1 for p in range(1, m + 1) if p & (p - 1)
         )
         self.check_positions: tuple[int, ...] = tuple((1 << i) - 1 for i in range(r))
-        # Column syndrome: Hamming index, overall parity flag at bit r.
-        flag = 1 << r
-        columns = [(pos + 1) | flag for pos in range(m)] + [flag]
+        extract_columns = [0] * self.n
+        for j, pos in enumerate(self.data_positions):
+            extract_columns[pos] = 1 << j
+        self.extract = _linear_map(extract_columns)
         data_codewords = []
         for pos in self.data_positions:
             word = 1 << pos
@@ -188,14 +216,7 @@ class Secded(_SyndromeCode):
                 if (pos + 1) >> i & 1:
                     word |= 1 << self.check_positions[i]
             data_codewords.append(word | _parity(word) << self.parity_position)
-        self._build_tables(data_codewords, columns)
-        extract_columns = [0] * self.n
-        for j, pos in enumerate(self.data_positions):
-            extract_columns[pos] = 1 << j
-        self._extract_tables = _byte_tables(extract_columns)
-
-    def extract(self, codeword: int) -> int:
-        return _lookup(self._extract_tables, codeword)
+        self._build_maps(data_codewords)
 
 
 # GF(2^6) tables over the primitive polynomial x^6 + x + 1, used to build
@@ -293,18 +314,15 @@ class Ec3Ed4(_SyndromeCode):
             raise AssertionError("generator degree is off")
         self.generator = g
         self._data_mask = (1 << data_bits) - 1
-        # Data bit j is the polynomial term x^(18 + j), check bit i the term
-        # x^i; a column syndrome is the term's remainder modulo g, with the
-        # overall parity flag at bit 18.
-        flag = 1 << self._CHECK_BITS
+        # Data bit j is the polynomial term x^(18 + j) and check bit i the
+        # term x^i: data bit j's checks are the remainder of x^(18 + j)
+        # modulo g.
         rems = [_poly_mod_gf2(1 << (self._CHECK_BITS + j), g) for j in range(data_bits)]
-        columns = ([rem | flag for rem in rems]
-                   + [(1 << i) | flag for i in range(self._CHECK_BITS)] + [flag])
         data_codewords = [
             (1 << j) | rem << data_bits | (1 ^ _parity(rem)) << self.parity_position
             for j, rem in enumerate(rems)
         ]
-        self._build_tables(data_codewords, columns)
+        self._build_maps(data_codewords)
 
     def extract(self, codeword: int) -> int:
         return codeword & self._data_mask

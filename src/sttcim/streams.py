@@ -11,7 +11,9 @@ Carlo; the device tests check moment recovery empirically.
 
 All three stages (hash, uniform, normal) run in place in one buffer per
 call, so a call allocates one array the size of its indices plus one
-scratch array for the hash.
+scratch array for the hash.  The variation Monte Carlo, which draws the
+same shape block after block, passes its own index buffer and scratch
+instead, so its blocks reuse two arrays rather than map fresh ones.
 
 scipy is imported on the first normal draw, not with this module: only the
 device model draws normals, and importing ``scipy.special`` costs about a
@@ -34,9 +36,9 @@ _ROUNDS_U64 = tuple((_U64(shift), _U64(mult)) for shift, mult in _ROUNDS)
 _WORDS, _UNIFORMS, _NORMALS = range(3)
 
 
-def _mix64_inplace(x: np.ndarray) -> None:
-    """splitmix64 finalizer of a uint64 array, overwriting it."""
-    t = np.empty_like(x)
+def _mix64_inplace(x: np.ndarray, t: np.ndarray) -> None:
+    """splitmix64 finalizer of a uint64 array, overwriting it; t is scratch
+    of x's shape."""
     for shift, mult in _ROUNDS_U64:
         np.right_shift(x, shift, out=t)
         np.bitwise_xor(x, t, out=x)
@@ -57,14 +59,23 @@ def seed_state(seed: int) -> np.uint64:
     return _U64(x ^ (x >> 31))
 
 
-def _draw(seed: int, indices, stage: int):
+def _draw(seed: int, indices, stage: int, scratch=None):
     """Stream words at the given indices, carried up to the given stage in
-    the one buffer: 64-bit word, uniform double, standard normal."""
-    x = np.array(indices, dtype=np.uint64)
+    the one buffer: 64-bit word, uniform double, standard normal.
+
+    Given scratch, a uint64 array of the indices' shape for the hash,
+    indices must be a uint64 array too: it becomes the buffer, the draw
+    overwrites it and returns a view of it, and nothing is allocated.
+    """
+    if scratch is None:
+        x = np.array(indices, dtype=np.uint64)
+        scratch = np.empty_like(x)
+    else:
+        x = indices
     np.add(x, _U64(1), out=x)
     np.multiply(x, _GOLDEN, out=x)
     np.add(x, seed_state(seed), out=x)
-    _mix64_inplace(x)
+    _mix64_inplace(x, scratch)
     out = x
     if stage != _WORDS:
         # 53 mantissa bits, offset by half an ulp so 0.0 is unreachable.

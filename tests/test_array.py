@@ -61,6 +61,22 @@ def test_addr_linear_roundtrip():
         Addr.from_linear(cfg, 8192)
 
 
+@pytest.mark.parametrize("addr", [
+    Addr(0, 128, 0),  # the spare row has no linear address
+    Addr(0, 129, 0),
+    Addr(0, 0, 16),
+    Addr(4, 0, 0),
+    Addr(-1, 0, 0),
+    Addr(0, -1, 0),
+    Addr(0, 0, -1),
+])
+def test_to_linear_rejects_out_of_range_coordinates(addr):
+    # Unchecked, Addr(0, 128, 0) and Addr(0, 0, 16) would alias Addr(1, 0, 0)
+    # and Addr(0, 1, 0).
+    with pytest.raises(ValueError):
+        addr.to_linear(ArrayConfig())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ArrayConfig(vector_length=5)
@@ -709,12 +725,15 @@ def _operand_pair(draw):
 
 def _as_int(addr):
     """An operand as the rewriter sees it: a linear address, or a spare
-    alias for a spare-row word."""
+    alias for a spare-row word.  Out-of-range coordinates, which have no
+    linear address, go through the same row-major arithmetic and give
+    whatever int it yields, in range or not."""
     if not isinstance(addr, Addr):
         return addr
-    if addr.row == _SPARE_ROW:
-        return SPARE_ALIAS + Addr(addr.bank, 0, addr.group).to_linear(_SMALL)
-    return addr.to_linear(_SMALL)
+    row, base = addr.row, 0
+    if row == _SPARE_ROW:
+        row, base = 0, SPARE_ALIAS
+    return base + (addr.bank * _SMALL.data_rows + row) * _SMALL.words_per_row + addr.group
 
 
 @st.composite

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sttcim.ecc import DecodeStatus, Ec3Ed4, Secded, make_code
 
@@ -251,3 +252,59 @@ def test_decode_outcomes_pinned(name, digest):
     # Recorded with the Berlekamp-Massey / Chien decoder this one replaced:
     # 20k words with 0-9 flipped bits, miscorrections included.
     assert _decode_digest(make_code(name, 32), 20_000, 2024) == digest
+
+
+# -- every 11-bit field boundary ------------------------------------------------
+
+# Encoding and Secded's extraction cut their input into 11-bit fields: these
+# widths end a field exactly, one bit short of it and one bit past it.
+_FIELD_WIDTHS = (1, 10, 11, 12, 21, 22, 23, 32, 33, 44, 45)
+
+
+@st.composite
+def _code_case(draw):
+    name = draw(st.sampled_from(("ec3ed4", "secded")))
+    widths = _FIELD_WIDTHS + ((64,) if name == "secded" else ())
+    code = make_code(name, draw(st.sampled_from(widths)))
+    data = draw(st.integers(0, (1 << code.data_bits) - 1))
+    # t + 1 distinct positions: the first w of them are the weight-w pattern.
+    positions = draw(st.lists(st.integers(0, code.n - 1), min_size=_radius(code) + 1,
+                              max_size=_radius(code) + 1, unique=True))
+    # How far an out-of-range input lies below 0 or past the top bit.
+    overshoot = draw(st.integers(1, 1 << 80)) * draw(st.sampled_from((-1, 1)))
+    return code, data, positions, overshoot
+
+
+def _out_of_range(bits, overshoot):
+    return overshoot if overshoot < 0 else (1 << bits) - 1 + overshoot
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(_code_case())
+def test_decode_at_every_field_boundary(case):
+    code, data, positions, overshoot = case
+    t = _radius(code)
+    cw = code.encode(data)
+    want = 0
+    for j in range(code.data_bits):
+        if data >> j & 1:
+            want ^= code.encode(1 << j)
+    assert cw == want and code.extract(cw) == data
+    for weight in range(t + 1):
+        pattern = tuple(sorted(positions[:weight]))
+        word = cw
+        for p in pattern:
+            word ^= 1 << p
+        res = code.decode(word)
+        status = DecodeStatus.CORRECTED if weight else DecodeStatus.CLEAN
+        assert (res.status, res.data, res.codeword, res.error_positions) == (
+            status, data, cw, pattern)
+    word = cw
+    for p in positions:
+        word ^= 1 << p
+    assert code.decode(word).status is DecodeStatus.DETECTED_UNCORRECTABLE
+    # A table index never sees such an input: no IndexError, no alias.
+    with pytest.raises(ValueError):
+        code.decode(_out_of_range(code.n, overshoot))
+    with pytest.raises(ValueError):
+        code.encode(_out_of_range(code.data_bits, overshoot))
