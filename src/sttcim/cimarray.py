@@ -37,7 +37,7 @@ amp; there is no second operand, the XOR sideband is identically zero and
 sensing errors on NOT pass through undetected.  That asymmetry is inherent
 to the access, not a modeling shortcut.
 
-Column noise is pluggable: ``InjectedColumnNoise`` flips a column to an
+Column noise is pluggable: ``InjectedColumnNoise`` moves a column to an
 adjacent decision level with a fixed probability, ``DeviceColumnSampler``
 resolves every column against freshly drawn varied cells using the bit-cell
 model.  Vector (multi-lane) ops model a digital vector unit and are
@@ -50,13 +50,17 @@ a, b, n)`` returns the (or-reference, and-reference) decision masks of two
 activated words.  The XOR lane is ``or & ~and``.  ADD ripples with the XOR
 lane X as propagate and the and-lane G as generate; X & G == 0 always, so
 with A = X | G the ripple computes A + G = X + 2G exactly, carry-out at bit
-word_width included.  Noisy samplers draw from the stream layout
-``access * 2^20 + column``, a block of consecutive access ids per draw call
-(the array numbers its accesses 1, 2, 3, ...), and keep each access's
-decisions as int masks; every draw is a pure function of (seed, access,
-column), so the block changes no sensed bit.  The device sampler draws only
-the cells ``device.SENSED_SLOTS`` names and evaluates them with
-``device.sensed_levels``, the code the variation Monte Carlo runs.
+word_width included.
+
+A noisy sampler states its noise as one decision table per access and
+column, ``device.IDEAL_DECISIONS`` varied: the read reference against a
+stored 0 and 1, then the or- and the and-reference against the states
+(a, b) = 00, 01, 10, 11; noise-free it senses like ``IdealSampler``.  The
+samplers differ only in how they fill the tables (the device sampler with
+``device.column_decisions``, as the Monte Carlo does), from the stream
+layout ``access * 2^20 + column``, a block of consecutive access ids per
+draw call (the array numbers its accesses 1, 2, 3, ...).  Every draw is a
+pure function of (seed, access, column), so the block changes no sensed bit.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from functools import cached_property
 import numpy as np
 
 from .device import (_DRAWS_PER_CELL, CELLS_PER_SAMPLE, SENSED_SLOTS, ConfigError, DeviceParams,
-                     VariationSpec, cell_factors, sensed_levels)
+                     VariationSpec, cell_factors, column_decisions, sensed_levels)
 from .ecc import DecodeStatus, make_code
 from .streams import uniforms
 
@@ -252,10 +256,11 @@ _BLOCK_CAP = 32
 
 
 class _BlockSampler:
-    """Per-access decisions computed a block of consecutive access ids at a
-    time.  Subclasses define ``_fill(first, count, n)``, one entry per
-    access ``first .. first + count - 1``; an entry is a pure function of
-    (seed, access, n), so the block size changes no sensed bit."""
+    """Per-access decision tables, a block of consecutive access ids at a
+    time.  Subclasses define ``_fill(first, count, n)``: per access ``first
+    .. first + count - 1``, ten int masks in ``device.IDEAL_DECISIONS``
+    order, a pure function of (seed, access, n).  Sensing selects each
+    column's decision by its stored bits."""
 
     # The cached block: accesses _first .. _end - 1 at n columns.
     _n = None
@@ -286,6 +291,17 @@ class _BlockSampler:
             access, access + size, n, size, block)
         return block[0]
 
+    def sense_read(self, access, word, n):
+        read0, read1 = self._entry(access, n)[:2]
+        return (word & read1) | (read0 & ~word)
+
+    def sense_pair(self, access, a, b, n):
+        _, _, or00, or01, or10, or11, and00, and01, and10, and11 = self._entry(access, n)
+        s00, s01, s10, s11 = ~(a | b), b & ~a, a & ~b, a & b
+        o_or = (or00 & s00) | (or01 & s01) | (or10 & s10) | (or11 & s11)
+        o_and = (and00 & s00) | (and01 & s01) | (and10 & s10) | (and11 & s11)
+        return o_or, o_and
+
 
 class InjectedColumnNoise(_BlockSampler):
     """Adjacent-level confusion with a fixed per-column probability.
@@ -308,40 +324,29 @@ class InjectedColumnNoise(_BlockSampler):
         accesses = np.arange(first, first + count, dtype=np.uint64)
         ent = (accesses * np.uint64(SPARE_ALIAS))[:, None] + np.arange(n, dtype=np.uint64)
         u = uniforms(self.seed, ent)
-        # Per access: the hit mask, and its low half (the middle state's
-        # or-side confusions).
-        return _int_masks(np.stack((u < self.p, u < 0.5 * self.p), axis=1))
-
-    def sense_read(self, access, word, n):
-        return word ^ self._entry(access, n)[0]
-
-    def sense_pair(self, access, a, b, n):
-        hit, low = self._entry(access, n)
-        either, both, one = a | b, a & b, a ^ b
-        # Hits on 00 raise the or-output, on 11 drop the and-output; on a
-        # middle column the low half drops the or-output, the rest raise
-        # the and-output.
-        o_or = (either | (hit & ~either)) & ~(low & one)
-        o_and = (both & ~hit) | (hit & ~low & one)
-        return o_or, o_and
+        full = (1 << n) - 1
+        tables = []
+        # A hit raises 00 above the or-reference and drops 11 below the
+        # and-reference; on a middle state its low half drops the column
+        # below the or-reference, the rest raises it above the and-reference.
+        for hit, low in _int_masks(np.stack((u < self.p, u < 0.5 * self.p), axis=1)):
+            miss, high = full ^ hit, full ^ low
+            rise = hit & high
+            tables.append((hit, miss, hit, high, high, full, 0, rise, rise, miss))
+        return tables
 
 
 class DeviceColumnSampler(_BlockSampler):
     """Column sensing resolved against the physical bit-cell model.
 
-    Each access draws fresh varied cells for every activated column: two
-    data cells and both three-cell reference stacks, all from the same
-    deterministic stream layout the Monte Carlo uses (an access owns a
+    Each access draws fresh varied cells for every activated column from
+    the deterministic stream layout the Monte Carlo uses (an access owns a
     2^20-column window of entity indices, each entity eight cells).  Only
-    the six cells sensing reads are drawn; ``device.SENSED_SLOTS`` names
-    them and ``device.sensed_levels`` turns their draws into the data
-    cells' resistances and the reference currents, as in the Monte Carlo.
-
-    Draws come a block of consecutive accesses at a time.  Per access and
-    column the sampler keeps the decision for every stored-bit state: the
-    read-reference decision for a stored 0 and a stored 1, and the
-    or- and and-reference decisions for each of the four (a, b) states,
-    each as an int mask.  Sensing then selects by the stored bits.
+    the six cells sensing reads are drawn, ``device.SENSED_SLOTS``: the two
+    data cells, the left stack's REF and AP cells and the right stack's REF
+    and P cells.  ``device.column_decisions`` turns them into the column's
+    decision table, as in the Monte Carlo; draws come a block of
+    consecutive accesses at a time.
     """
 
     def __init__(self, params: DeviceParams | None = None,
@@ -350,9 +355,10 @@ class DeviceColumnSampler(_BlockSampler):
         self.variation = variation if variation is not None else VariationSpec()
         self.seed = seed
 
-    # A block fill makes three 8-byte arrays with _DRAWS_PER_CELL entries
-    # per sensed slot, column and access (144 B per column and access): the
-    # draw indices, the normals and the stream hash's scratch.  Blocks keep
+    # A block fill makes 8-byte arrays with _DRAWS_PER_CELL entries per
+    # sensed slot, column and access (144 B per column and access): the
+    # normals, drawn in place over their indices, and the stream hash's
+    # scratch.  Blocks keep
     # them under glibc's default 128 KiB mmap threshold, so they come from
     # the heap instead of fresh mappings.  With 32-access blocks at 51
     # columns (235 KB arrays) every pass of perfbench's faults workload took
@@ -367,7 +373,6 @@ class DeviceColumnSampler(_BlockSampler):
         return max(1, min(_BLOCK_CAP, self._BLOCK_BYTES // per_access))
 
     def _fill(self, first, count, n):
-        v = self.params.read_voltage
         # Entity access * SPARE_ALIAS + column owns cells entity * 8 + slot;
         # row k holds sensed slot k of every (access, column).
         accesses = np.arange(first, first + count, dtype=np.uint64)
@@ -375,26 +380,8 @@ class DeviceColumnSampler(_BlockSampler):
         cells = (entities * np.uint64(CELLS_PER_SAMPLE)
                  + np.array(SENSED_SLOTS, np.uint64)[:, None, None])
         f, r_t = cell_factors(self.params, self.variation, self.seed, cells)
-        r_a, r_b, i_ref, i_ref_or, i_ref_and = sensed_levels(self.params, f, r_t)
-        i_a = [v / r for r in r_a]
-        i_b = [v / r for r in r_b]
-        # Per access: read decisions for a stored 0 and 1, then the or- and
-        # the and-decisions for the states (a, b) = 00, 01, 10, 11.
-        i_sl = [i_a[a] + i_b[b] for a in (0, 1) for b in (0, 1)]
-        decisions = [i_a[0] > i_ref, i_a[1] > i_ref]
-        decisions += [i > i_ref_or for i in i_sl] + [i > i_ref_and for i in i_sl]
-        return _int_masks(np.stack(decisions, axis=1))
-
-    def sense_read(self, access, word, n):
-        read0, read1 = self._entry(access, n)[:2]
-        return (word & read1) | (read0 & ~word)
-
-    def sense_pair(self, access, a, b, n):
-        _, _, or00, or01, or10, or11, and00, and01, and10, and11 = self._entry(access, n)
-        s00, s01, s10, s11 = ~(a | b), b & ~a, a & ~b, a & b
-        o_or = (or00 & s00) | (or01 & s01) | (or10 & s10) | (or11 & s11)
-        o_and = (and00 & s00) | (and01 & s01) | (and10 & s10) | (and11 & s11)
-        return o_or, o_and
+        decisions = column_decisions(self.params, sensed_levels(self.params, f, r_t))[0]
+        return _int_masks(decisions.swapaxes(0, 1))
 
 
 _TWO_ROW_OPS = (CimOp.AND, CimOp.OR, CimOp.NAND, CimOp.NOR, CimOp.XOR, CimOp.ADD)

@@ -30,6 +30,10 @@ with eps_* ~ N(0, sigma_*).  The oxide and area draws are shared between the
 parallel and anti-parallel resistance of the same junction.  Draws are pure
 functions of (seed, cell index) so chunked evaluation is order-independent.
 
+One function senses a varied column, ``column_decisions``: the ten
+comparator decisions of ``IDEAL_DECISIONS``.  The array's device sampler
+packs them; the Monte Carlo counts a failure where they differ from it.
+
 The Monte Carlo has two units.  The ``chunk`` argument is the summation
 unit: each float mean is the sum of per-chunk sums, so ``chunk`` fixes the
 last bits of the margins and mean currents (failure counts are exact
@@ -46,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .streams import _NORMALS, _draw, unit_normals
+from .streams import unit_normals
 
 __all__ = [
     "ConfigError",
@@ -60,6 +64,8 @@ __all__ = [
     "cell_factors",
     "SENSED_SLOTS",
     "sensed_levels",
+    "IDEAL_DECISIONS",
+    "column_decisions",
     "monte_carlo_failures",
     "load_device_config",
     "failure_report_csv",
@@ -245,10 +251,21 @@ _MAX_RETRIES = len(_RETRY_SHIFTS)
 CELLS_PER_SAMPLE = 8
 SENSED_SLOTS = (0, 1, 2, 3, 5, 7)
 
+# A sensed column's decision table, noise-free: the read reference against
+# a stored 0 and 1, then the or- and then the and-reference against the
+# two-cell states (a, b) = 00, 01, 10, 11.
+IDEAL_DECISIONS = (0, 1, 0, 1, 1, 1, 0, 0, 0, 1)
+
 # Monte Carlo samples evaluated together inside one summation chunk.  At
 # 2048 samples a block's 36,864 draws and its temporaries (under 2 MB) stay
 # in a core's L2 cache; smaller blocks pay more per-call overhead.
 _BLOCK = 2048
+
+
+def _draw_buffers(size):
+    """Normals (drawn in place over their indices) and hash scratch for
+    size draws."""
+    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
 
 
 def cell_factors(params, variation, seed, cell_indices, buffers=None):
@@ -262,15 +279,14 @@ def cell_factors(params, variation, seed, cell_indices, buffers=None):
     idx = np.asarray(cell_indices, dtype=np.uint64)
     # One draw call for all three sources: row k holds word indices cell*3 + k.
     offsets = np.arange(_DRAWS_PER_CELL, dtype=np.uint64).reshape((-1,) + (1,) * idx.ndim)
+    size = offsets.size * idx.size
     if buffers is None:
-        eps = unit_normals(seed, idx * np.uint64(_DRAWS_PER_CELL) + offsets)
-    else:
-        # The draw indices are written into the normals buffer and drawn in place.
-        shape = offsets.shape[:1] + idx.shape
-        eps, scratch = (b[:offsets.size * idx.size].reshape(shape) for b in buffers)
-        np.multiply(idx, np.uint64(_DRAWS_PER_CELL), out=eps)
-        np.add(eps, offsets, out=eps)
-        eps = _draw(seed, eps, _NORMALS, scratch)
+        buffers = _draw_buffers(size)
+    # The draw indices are written into the normals buffer and drawn in place.
+    eps, scratch = (b[:size].reshape(offsets.shape[:1] + idx.shape) for b in buffers)
+    np.multiply(idx, np.uint64(_DRAWS_PER_CELL), out=eps)
+    np.add(eps, offsets, out=eps)
+    eps = unit_normals(seed, eps, scratch)
     eps_tox, eps_area, eps_vt = eps
 
     for retry in range(_MAX_RETRIES + 1):
@@ -308,6 +324,23 @@ def sensed_levels(params, factor, r_t):
     return r_a, r_b, i_ref_read, i_ref_or, i_ref_and
 
 
+def column_decisions(params, levels):
+    """Comparator decisions of sensed columns from their sensed_levels.
+
+    Returns (decisions, i_sl): one boolean row per IDEAL_DECISIONS entry,
+    stacked along a new first axis, and the source-line currents of the
+    states (a, b) = 00, 01, 10, 11.
+    """
+    v = params.read_voltage
+    r_a, r_b, i_ref_read, i_ref_or, i_ref_and = levels
+    i_a = [v / r for r in r_a]
+    i_b = [v / r for r in r_b]
+    i_sl = [i_a[a] + i_b[b] for a in (0, 1) for b in (0, 1)]
+    rows = [i_a[0] > i_ref_read, i_a[1] > i_ref_read]
+    rows += [i > i_ref_or for i in i_sl] + [i > i_ref_and for i in i_sl]
+    return np.stack(rows), i_sl
+
+
 def _disturb_per_cell(v, r_sl, r_self, r_other):
     """Per-cell current of a two-cell access with a shared series resistance.
 
@@ -315,13 +348,6 @@ def _disturb_per_cell(v, r_sl, r_self, r_other):
     the matching single-cell read current, whenever r_sl > 0.
     """
     return v * r_other / (r_sl * (r_self + r_other) + r_self * r_other)
-
-
-def _draw_buffers():
-    """Normals (drawn in place over their indices) and hash scratch for
-    one Monte Carlo block."""
-    size = _DRAWS_PER_CELL * len(SENSED_SLOTS) * _BLOCK
-    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
 
 
 def _sample_block(params, variation, seed, first, terms, buffers):
@@ -340,26 +366,15 @@ def _sample_block(params, variation, seed, first, terms, buffers):
     cells = np.arange(first, first + m, dtype=np.uint64) * np.uint64(CELLS_PER_SAMPLE)
     cells = cells + np.array(SENSED_SLOTS, dtype=np.uint64)[:, None]
     factor, r_t = cell_factors(params, variation, seed, cells, buffers=buffers)
+    levels = sensed_levels(params, factor, r_t)
+    decisions, (_, i_app, i_pap, _) = column_decisions(params, levels)
     # Data cells: both junction states share the cell's draws.
-    (tot_a_ap, tot_a_p), (tot_b_ap, tot_b_p), i_ref_read, i_ref_or, i_ref_and = (
-        sensed_levels(params, factor, r_t))
+    (tot_a_ap, tot_a_p), (tot_b_ap, tot_b_p), _, i_ref_or, i_ref_and = levels
 
-    ia_p = v / tot_a_p
-    ia_ap = v / tot_a_ap
-    ib_p = v / tot_b_p
-    ib_ap = v / tot_b_ap
-
-    read_bad = (ia_p <= i_ref_read) | (ia_ap > i_ref_read)
-
-    i_pp = ia_p + ib_p
-    i_pap = ia_p + ib_ap
-    i_app = ia_ap + ib_p
-    i_apap = ia_ap + ib_ap
-    ok_pp = (i_pp > i_ref_and) & (i_pp > i_ref_or)
-    ok_pap = (i_pap > i_ref_or) & (i_pap <= i_ref_and)
-    ok_app = (i_app > i_ref_or) & (i_app <= i_ref_and)
-    ok_apap = (i_apap <= i_ref_or) & (i_apap <= i_ref_and)
-    cim_ok = ok_pp & ok_pap & ok_app & ok_apap
+    # A mode fails where any of its decisions differs from the noise-free one.
+    wrong = decisions != np.array(IDEAL_DECISIONS, dtype=bool)[:, None]
+    read_fails = int(np.count_nonzero(wrong[:2].any(axis=0)))
+    cim_fails = int(np.count_nonzero(wrong[2:].any(axis=0)))
 
     margin_low, margin_high, cim_cell, read_cell = terms
     mid = 0.5 * (i_pap + i_app)
@@ -387,8 +402,7 @@ def _sample_block(params, variation, seed, first, terms, buffers):
         cim_cell += cur_a + cur_b
         all_below &= (cur_a < rd_a) & (cur_b < rd_b)
     cim_cell /= 8.0
-    return (int(np.count_nonzero(read_bad)), m - int(np.count_nonzero(cim_ok)),
-            int(np.count_nonzero(all_below)))
+    return read_fails, cim_fails, int(np.count_nonzero(all_below))
 
 
 def monte_carlo_failures(
@@ -422,7 +436,7 @@ def monte_carlo_failures(
     # be mapped and faulted in again, block after block.  Two, not three:
     # with a separate index buffer held as well, the benchmark's Monte
     # Carlo passes ran about 11% slower than with fresh arrays.
-    buffers = _draw_buffers()
+    buffers = _draw_buffers(_DRAWS_PER_CELL * len(SENSED_SLOTS) * _BLOCK)
 
     for start in range(0, n, chunk):
         m = min(chunk, n - start)

@@ -189,9 +189,11 @@ class _SyndromeCode:
 class Secded(_SyndromeCode):
     """Extended Hamming code: single-error correct, double-error detect."""
 
+    _MAX_DATA = 120  # the widest with a 128-bit codeword; tables grow as its square
+
     def __init__(self, data_bits: int):
-        if data_bits < 1:
-            raise ValueError("data_bits must be positive")
+        if not 1 <= data_bits <= self._MAX_DATA:
+            raise ValueError(f"data_bits must be in 1..{self._MAX_DATA}")
         r = 2
         while (1 << r) < data_bits + r + 1:
             r += 1

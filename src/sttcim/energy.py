@@ -119,13 +119,8 @@ class EnergyBreakdown:
         return self.read + self.write + self.cim + self.nm_corrections
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "Read": self.read,
-            "Write": self.write,
-            "CiM": self.cim,
-            "NMCorrections": self.nm_corrections,
-            "Total": self.total,
-        }
+        values = (self.read, self.write, self.cim, self.nm_corrections)
+        return {**dict(zip(CATEGORIES, values)), "Total": self.total}
 
     def format_table(self) -> str:
         lines = ["category,energy"]

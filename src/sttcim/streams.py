@@ -99,6 +99,7 @@ def uniforms(seed: int, indices) -> np.ndarray:
     return _draw(seed, indices, _UNIFORMS)
 
 
-def unit_normals(seed: int, indices) -> np.ndarray:
-    """Standard normal draws via the inverse CDF, one per index."""
-    return _draw(seed, indices, _NORMALS)
+def unit_normals(seed: int, indices, scratch=None) -> np.ndarray:
+    """Standard normal draws via the inverse CDF, one per index.  Given
+    scratch, the draw runs in place over indices as ``_draw`` says."""
+    return _draw(seed, indices, _NORMALS, scratch)

@@ -20,9 +20,10 @@ from sttcim.cimarray import (
     IdealSampler,
     InjectedColumnNoise,
     SPARE_ALIAS,
+    _BlockSampler,
     selftest,
 )
-from sttcim.device import ConfigError, DeviceParams, VariationSpec, cell_factors
+from sttcim.device import IDEAL_DECISIONS, ConfigError, DeviceParams, VariationSpec, cell_factors
 from sttcim.streams import uniforms
 from sttcim.xform import addresses_aligned
 
@@ -278,6 +279,28 @@ def test_device_sampler_zero_variation_matches_ideal():
         assert arr.cim_word(CimOp.XOR, a_addr, b_addr) == (a ^ b, 1)
         assert arr.read_word(a_addr) == a
     assert arr.counters.corrected_words == 0
+
+
+class _TableSampler(_BlockSampler):
+    """Every column of every access senses through one fixed decision
+    table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def _fill(self, first, count, n):
+        full = (1 << n) - 1
+        return [[full if d else 0 for d in self.table]] * count
+
+
+@pytest.mark.parametrize("n", [27, 51, 72])
+def test_noise_free_table_senses_like_ideal(n):
+    table, ideal = _TableSampler(IDEAL_DECISIONS), IdealSampler()
+    rng = random.Random(n)
+    for access in range(1, 200):
+        a, b = rng.getrandbits(n), rng.getrandbits(n)
+        assert table.sense_read(access, a, n) == ideal.sense_read(access, a, n)
+        assert table.sense_pair(access, a, b, n) == ideal.sense_pair(access, a, b, n)
 
 
 def test_device_sampler_half_variation_all_corrected():

@@ -250,6 +250,13 @@ def test_ecc_prove_width_past_the_code_fails_cleanly(capsys):
     assert captured.err == "ecc prove failed: data_bits must be in 1..45\n"
 
 
+def test_ecc_prove_secded_past_its_width_fails_cleanly(capsys):
+    assert main(["ecc", "prove", "--code", "secded", "--data-bits", "121"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ecc prove failed: data_bits must be in 1..120\n"
+
+
 def test_plan_past_capacity_fails_cleanly(tmp_path, capsys):
     message = "type1 capacity is 4096 words, asked for 100000"
     assert main(["map", "plan", "--pattern", "type1", "--n", "100000"]) == 2

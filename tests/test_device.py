@@ -255,6 +255,32 @@ def test_zero_variation_never_fails():
     assert rep.cim_cell_below_read_rate == 1.0
 
 
+def test_column_decisions_at_zero_variation_are_the_noise_free_table():
+    p = DeviceParams()
+    cells = (np.arange(40, dtype=np.uint64) * np.uint64(device.CELLS_PER_SAMPLE)
+             + np.array(device.SENSED_SLOTS, dtype=np.uint64)[:, None])
+    factor, r_t = cell_factors(p, VariationSpec.zero(), 3, cells)
+    decisions, _ = device.column_decisions(p, device.sensed_levels(p, factor, r_t))
+    assert decisions.shape == (10, 40)
+    assert decisions.T.tolist() == [[bool(d) for d in device.IDEAL_DECISIONS]] * 40
+
+
+def test_monte_carlo_draws_through_unit_normals(monkeypatch):
+    # Every normal the Monte Carlo draws goes through device.unit_normals:
+    # three per sensed cell, six sensed cells per sample (no retries at 1x).
+    draws = []
+    real = device.unit_normals
+
+    def counting(seed, indices, *rest):
+        draws.append(np.size(indices))
+        return real(seed, indices, *rest)
+
+    monkeypatch.setattr(device, "unit_normals", counting)
+    n = 5000
+    monte_carlo_failures(DeviceParams(), VariationSpec(), n, seed=4)
+    assert sum(draws) == 3 * len(device.SENSED_SLOTS) * n
+
+
 def test_monte_carlo_chunk_invariance():
     p = DeviceParams()
     var = VariationSpec()

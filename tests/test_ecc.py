@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sttcim.cimarray import ArrayConfig
 from sttcim.ecc import DecodeStatus, Ec3Ed4, Secded, make_code
 
 
@@ -178,6 +179,19 @@ def test_decode_input_validation():
         Ec3Ed4(46)
     with pytest.raises(ValueError):
         Ec3Ed4(0)
+
+
+def test_secded_width_limit():
+    # 120 data bits is the widest secded word whose codeword fits in 128
+    # bits; wider codes are refused before any table is built.
+    assert Secded(120).n == 128
+    for width in (0, 121):
+        with pytest.raises(ValueError, match=r"data_bits must be in 1\.\.120"):
+            Secded(width)
+    with pytest.raises(ValueError):
+        make_code("secded", 121)
+    with pytest.raises(ValueError):
+        ArrayConfig(code="secded", word_width=121)
 
 
 def test_make_code():
