@@ -20,8 +20,9 @@ its shape admits:
 
 Baselines are deliberately unhoisted: every operand load sits inside the
 loop, the way a non-optimizing compiler would emit it.  Measurement covers
-the program run only; input placement (arrays, replicated pattern rows,
-the vector match-count table) happens before the counters reset.  Spare
+the program run only.  A builder states its inputs (arrays, replicated
+pattern rows, the vector match-count table) as a map from linear address
+to word; run_kernel writes them before the counters reset.  Spare
 row broadcasts (SPWR) are instructions, so they run inside the measured
 region.
 
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .cimarray import ArrayConfig, CimArray, SPARE_ALIAS
 from .cpu import Cpu, Program, parse_program
@@ -115,7 +115,7 @@ class KernelRun:
 @dataclass(frozen=True)
 class _Setup:
     program: Program
-    prime: Callable[[CimArray], None]
+    inputs: dict[int, int]
     reference: int
     outputs: range
 
@@ -132,6 +132,11 @@ def _fold(values) -> int:
 
 
 # -- kernel builders ---------------------------------------------------------
+
+
+def _placed(plan: MapPlan, name: str, words) -> dict[int, int]:
+    """Address -> word map of the named operand under the plan."""
+    return {plan.address(name, i): w for i, w in enumerate(words)}
 
 
 def _single_segment(plan: MapPlan, *names: str) -> None:
@@ -170,14 +175,9 @@ def _setup_xorcipher(plan, mode, n, seed):
         BNE r1, r3, loop
         HALT
     """
-
-    def prime(arr):
-        for i in range(n):
-            arr.write_word(plan.address("A", i), a[i])
-            arr.write_word(plan.address("B", i), b[i])
-
+    inputs = _placed(plan, "A", a) | _placed(plan, "B", b)
     reference = _fold((x ^ y) & MASK32 for x, y in zip(a, b))
-    return _Setup(parse_program(src), prime, reference, range(base, base + n))
+    return _Setup(parse_program(src), inputs, reference, range(base, base + n))
 
 
 def _blit_plan(config: ArrayConfig, n: int) -> MapPlan:
@@ -225,16 +225,10 @@ def _setup_blit(plan, mode, n, seed):
         BNE r8, r10, merge_pass
         HALT
     """
-
-    def prime(arr):
-        for i in range(n):
-            arr.write_word(i, sprite[i])
-            arr.write_word(n + i, mask[i])
-            arr.write_word(2 * n + i, dest[i])
-
+    inputs = _placed(plan, "S", sprite) | _placed(plan, "M", mask) | _placed(plan, "D", dest)
     masked = [(s & m) & MASK32 for s, m in zip(sprite, mask)]
     reference = _fold((d | s) & MASK32 for d, s in zip(dest, masked))
-    return _Setup(parse_program(src), prime, reference, range(2 * n, 3 * n))
+    return _Setup(parse_program(src), inputs, reference, range(2 * n, 3 * n))
 
 
 def _setup_vecsum(plan, mode, n, seed):
@@ -279,14 +273,9 @@ def _setup_vecsum(plan, mode, n, seed):
             STW r4, {out}(r0)
             HALT
         """)
-
-    def prime(arr):
-        for i in range(n):
-            arr.write_word(plan.address("A", i), a[i])
-            arr.write_word(plan.address("B", i), b[i])
-
+    inputs = _placed(plan, "A", a) | _placed(plan, "B", b)
     reference = sum((x + y) for x, y in zip(a, b)) & MASK32
-    return _Setup(prog, prime, reference, range(out, out + 1))
+    return _Setup(prog, inputs, reference, range(out, out + 1))
 
 
 def _setup_strmatch(plan, mode, n, seed):
@@ -331,14 +320,7 @@ def _setup_strmatch(plan, mode, n, seed):
             STW r4, {out}(r0)
             HALT
         """
-        prog = parse_program(src)
-
-        def prime(arr):
-            for i, w in enumerate(text):
-                arr.write_word(t_base + i, w)
-            for j, w in enumerate(pattern):
-                arr.write_word(p_base + j, w)
-
+        inputs = dict(enumerate(text, t_base)) | dict(enumerate(pattern, p_base))
     else:
         _single_segment(plan, "T")
         t_base = plan.address("T", 0)
@@ -365,16 +347,12 @@ def _setup_strmatch(plan, mode, n, seed):
             STW r4, {out}(r0)
             HALT
         """
-        prog = parse_program(src)
+        # Pattern word j fills every group of bank 0's row j.
+        inputs = _placed(plan, "T", text) | {
+            j * wpr + g: w for j, w in enumerate(pattern) for g in range(wpr)
+        }
 
-        def prime(arr):
-            for i, w in enumerate(text):
-                arr.write_word(plan.address("T", i), w)
-            # Pattern rows replicated across all groups, one row per word.
-            for j, w in enumerate(pattern):
-                arr.write_replicated(0, j, w)
-
-    return _Setup(prog, prime, reference, range(out, out + 1))
+    return _Setup(parse_program(src), inputs, reference, range(out, out + 1))
 
 
 def _setup_editdist(plan, mode, n, seed):
@@ -448,18 +426,12 @@ def _setup_editdist(plan, mode, n, seed):
             STW r4, {out}(r0)
             HALT
         """
-    prog = parse_program(src)
-    needs_table = mode.startswith("vec")
+    inputs = _placed(plan, "A", x)
+    if mode.startswith("vec"):
+        for mask_val in range(1 << lanes):
+            inputs[table_base + mask_val] = lanes - bin(mask_val).count("1")
 
-    def prime(arr):
-        for i in range(n):
-            arr.write_word(plan.address("A", i), x[i])
-        if needs_table:
-            for mask_val in range(1 << lanes):
-                matches = lanes - bin(mask_val).count("1")
-                arr.write_word(table_base + mask_val, matches)
-
-    return _Setup(prog, prime, reference, range(out, out + 1))
+    return _Setup(parse_program(src), inputs, reference, range(out, out + 1))
 
 
 def _setup_saxpy(plan, mode, n, seed):
@@ -523,11 +495,7 @@ def _setup_saxpy(plan, mode, n, seed):
             HALT
         """
 
-    def prime(arr):
-        for i in range(n):
-            arr.write_word(plan.address("A", i), x[i])
-
-    return _Setup(parse_program(src), prime, reference, range(out, out + 1))
+    return _Setup(parse_program(src), _placed(plan, "A", x), reference, range(out, out + 1))
 
 
 # Builders take (plan, mode, n, seed), the plan from the kernel's planner,
@@ -601,7 +569,8 @@ def run_kernel(kernel: str, mode: str, n: int | None = None, latency: int = 1,
         setup = _BUILDERS[kernel](_PLANNERS[kernel](cfg, size), mode, size, seed)
         rewrites = 0
     arr = CimArray(cfg)
-    setup.prime(arr)
+    for addr, word in setup.inputs.items():
+        arr.write_word(addr, word)
     arr.counters.reset()
     res = Cpu(arr, setup.program, memory_latency=latency).run()
     counters = arr.counters.as_dict()

@@ -438,12 +438,11 @@ class CimArray:
     """Array state plus the controller: ECC on the way in and out, the XOR
     check on every two-row access, near-memory fallback bookkeeping."""
 
-    def __init__(self, config: ArrayConfig | None = None, sampler=None,
-                 counters: AccessCounters | None = None):
+    def __init__(self, config: ArrayConfig | None = None, sampler=None):
         self.config = config if config is not None else ArrayConfig()
         self.code = make_code(self.config.code, self.config.word_width)
         self.sampler = sampler if sampler is not None else IdealSampler()
-        self.counters = counters if counters is not None else AccessCounters()
+        self.counters = AccessCounters()
         config = self.config
         # One codeword per slot, laid out as the module notes say.
         self._words = [0] * (config.total_words + config.banks * config.words_per_row)

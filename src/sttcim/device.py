@@ -45,7 +45,6 @@ and each array is summed once per chunk, so the block size changes no bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -474,22 +473,31 @@ def failure_report_csv(report: FailureReport) -> str:
 
 
 # Key-value config file support.  Keys follow the datasheet-style naming
-# used by the CLI; unknown keys are rejected so typos fail loudly.
-_DEVICE_KEYS = {
-    "ra_product_ohm_um2",
-    "tmr_pct",
-    "mtj_side_nm",
-    "mtj_area_um2",
-    "access_resistance_ohm",
-    "read_voltage_v",
-    "ref_resistance_ohm",
-    "sl_resistance_ohm",
-    "tox_sigma_pct",
-    "area_sigma_pct",
-    "vt_sigma_pct",
-    "tox_sensitivity",
-    "vt_sensitivity",
+# used by the CLI; unknown keys are rejected so typos fail loudly.  Each
+# table maps a key to its dataclass field and the divisor that turns the
+# file's unit into the field's (percent keys divide by 100).
+_PARAM_KEYS = {
+    "ra_product_ohm_um2": ("ra_product", 1),
+    "tmr_pct": ("tmr", 100),
+    "mtj_area_um2": ("mtj_area", 1),
+    "access_resistance_ohm": ("access_resistance", 1),
+    "read_voltage_v": ("read_voltage", 1),
+    "ref_resistance_ohm": ("ref_resistance", 1),
+    "sl_resistance_ohm": ("sl_resistance", 1),
 }
+_VARIATION_KEYS = {
+    "tox_sigma_pct": ("sigma_tox", 100),
+    "area_sigma_pct": ("sigma_area", 100),
+    "vt_sigma_pct": ("sigma_vt", 100),
+    "tox_sensitivity": ("tox_sensitivity", 1),
+    "vt_sensitivity": ("vt_sensitivity", 1),
+}
+# mtj_side_nm is the one derived key: it sets mtj_area.
+_DEVICE_KEYS = {*_PARAM_KEYS, *_VARIATION_KEYS, "mtj_side_nm"}
+
+
+def _fields(table, values: dict[str, float]) -> dict[str, float]:
+    return {field: values[key] / div for key, (field, div) in table.items() if key in values}
 
 
 def load_device_config(path) -> tuple[DeviceParams, VariationSpec]:
@@ -517,32 +525,14 @@ def load_device_config(path) -> tuple[DeviceParams, VariationSpec]:
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad number for {key!r}") from exc
 
-    if "mtj_side_nm" in values and "mtj_area_um2" in values:
-        raise ConfigError(f"{path}: give mtj_side_nm or mtj_area_um2, not both")
-    area = values.get("mtj_area_um2")
-    if "mtj_side_nm" in values:
-        side_um = values["mtj_side_nm"] * 1e-3
-        area = side_um * side_um
-
-    default_var = VariationSpec()
+    params = _fields(_PARAM_KEYS, values)
+    side_nm = values.get("mtj_side_nm")
+    if side_nm is not None:
+        if "mtj_area" in params:
+            raise ConfigError(f"{path}: give mtj_side_nm or mtj_area_um2, not both")
+        side_um = side_nm * 1e-3
+        params["mtj_area"] = side_um * side_um
     try:
-        params = DeviceParams(
-            ra_product=values.get("ra_product_ohm_um2", DeviceParams.ra_product),
-            tmr=values.get("tmr_pct", DeviceParams.tmr * 100.0) / 100.0,
-            mtj_area=area if area is not None else DeviceParams.mtj_area,
-            access_resistance=values.get("access_resistance_ohm",
-                                         DeviceParams.access_resistance),
-            read_voltage=values.get("read_voltage_v", DeviceParams.read_voltage),
-            ref_resistance=values.get("ref_resistance_ohm"),
-            sl_resistance=values.get("sl_resistance_ohm", DeviceParams.sl_resistance),
-        )
-        variation = VariationSpec(
-            sigma_tox=values.get("tox_sigma_pct", default_var.sigma_tox * 100.0) / 100.0,
-            sigma_area=values.get("area_sigma_pct", default_var.sigma_area * 100.0) / 100.0,
-            sigma_vt=values.get("vt_sigma_pct", default_var.sigma_vt * 100.0) / 100.0,
-            tox_sensitivity=values.get("tox_sensitivity", default_var.tox_sensitivity),
-            vt_sensitivity=values.get("vt_sensitivity", default_var.vt_sensitivity),
-        )
+        return DeviceParams(**params), VariationSpec(**_fields(_VARIATION_KEYS, values))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return params, variation

@@ -113,19 +113,14 @@ class MapPlan:
         return "\n".join(lines) + "\n"
 
 
-def _chunked(name: str, n: int, chunk: int, bank_base, first_bank: int = 0):
-    """Split n elements into per-bank segments of at most chunk words."""
-    segs = []
-    placed = 0
-    bank = first_bank
-    seg = 0
-    while placed < n:
-        take = min(chunk, n - placed)
-        segs.append(PlanSegment(name=name, seg=seg, base=bank_base(bank), length=take))
-        placed += take
-        bank += 1
-        seg += 1
-    return segs, bank - first_bank
+def _chunked(name: str, n: int, chunk: int, bank_base):
+    """Split n elements into per-bank segments of at most chunk words, from
+    bank 0 up; also returns the bank count."""
+    segs = [
+        PlanSegment(name=name, seg=k, base=bank_base(k), length=min(chunk, n - k * chunk))
+        for k in range(-(-n // chunk))
+    ]
+    return segs, len(segs)
 
 
 def plan_type1(config: ArrayConfig, n: int) -> MapPlan:

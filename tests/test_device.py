@@ -397,6 +397,35 @@ def test_load_device_config(tmp_path):
     assert var == VariationSpec()
 
 
+def test_load_device_config_sets_every_direct_key(tmp_path):
+    # Distinct non-default values, so a key routed to the wrong field or a
+    # wrong unit conversion cannot pass.
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "ra_product_ohm_um2 = 12.5\n"
+        "tmr_pct = 150\n"
+        "mtj_area_um2 = 0.0025\n"
+        "access_resistance_ohm = 2500\n"
+        "read_voltage_v = 0.15\n"
+        "ref_resistance_ohm = 9000\n"
+        "sl_resistance_ohm = 1200\n"
+        "tox_sigma_pct = 3\n"
+        "area_sigma_pct = 6\n"
+        "vt_sigma_pct = 4\n"
+        "tox_sensitivity = 1.5\n"
+        "vt_sensitivity = 0.75\n"
+    )
+    params, var = load_device_config(cfg)
+    assert params == DeviceParams(
+        ra_product=12.5, tmr=1.5, mtj_area=0.0025, access_resistance=2500.0,
+        read_voltage=0.15, ref_resistance=9000.0, sl_resistance=1200.0,
+    )
+    assert var == VariationSpec(
+        sigma_tox=0.03, sigma_area=0.06, sigma_vt=0.04,
+        tox_sensitivity=1.5, vt_sensitivity=0.75,
+    )
+
+
 def test_load_device_config_rejects_unknown_and_duplicate(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("volts = 3\n")
