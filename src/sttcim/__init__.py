@@ -42,7 +42,7 @@ from .device import (
     sense_bit,
 )
 from .ecc import DecodeResult, DecodeStatus, Ec3Ed4, Secded, make_code
-from .energy import EnergyBreakdown, account, event_energy, vcim_energy
+from .energy import EnergyBreakdown, account, event_energy
 from .mapper import MapPlan, PlanError, plan_type1, plan_type2, plan_type3
 from .xform import transform, verify_equivalence
 
@@ -94,6 +94,5 @@ __all__ = [
     "sense_bit",
     "transform",
     "transform_pair",
-    "vcim_energy",
     "verify_equivalence",
 ]

@@ -18,6 +18,7 @@ its shape admits:
 * saxpy_add (scalar add reduction): sum of x[i] + a.  Hand-written
   in-array variant and vector variants.
 
+Every kernel runs on the default array (``ArrayConfig()``), built per run.
 Baselines are deliberately unhoisted: every operand load sits inside the
 loop, the way a non-optimizing compiler would emit it.  Measurement covers
 the program run only.  A builder states its inputs (arrays, replicated
@@ -47,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .cimarray import ArrayConfig, CimArray, SPARE_ALIAS
+from .cimarray import ArrayConfig, CimArray
 from .cpu import Cpu, Program, parse_program
 from .energy import EnergyBreakdown, account
 from .mapper import MapPlan, PlanSegment, plan_type1, plan_type2, plan_type3
@@ -347,9 +348,11 @@ def _setup_strmatch(plan, mode, n, seed):
             STW r4, {out}(r0)
             HALT
         """
-        # Pattern word j fills every group of bank 0's row j.
+        # Pattern word j fills every group of its row, each group aligned with
+        # the text's (t_base starts a row).
         inputs = _placed(plan, "T", text) | {
-            j * wpr + g: w for j, w in enumerate(pattern) for g in range(wpr)
+            plan.pattern_operand(t_base + g, j): w
+            for j, w in enumerate(pattern) for g in range(wpr)
         }
 
     return _Setup(parse_program(src), inputs, reference, range(out, out + 1))
@@ -391,7 +394,7 @@ def _setup_editdist(plan, mode, n, seed):
             ADDI r11, r0, {key}
             SPWR r11, 1
             ADDI r1, r0, {base}
-            LUI r2, {SPARE_ALIAS >> 16}
+            LUI r2, {plan.scalar_operand(base) >> 16}
             ADDI r3, r0, {base + n}
             ADDI r4, r0, 0
         loop:
@@ -411,7 +414,7 @@ def _setup_editdist(plan, mode, n, seed):
             ADDI r11, r0, {key}
             SPWR r11, 1
             ADDI r1, r0, {base}
-            LUI r2, {SPARE_ALIAS >> 16}
+            LUI r2, {plan.scalar_operand(base) >> 16}
             ADDI r3, r0, {base + n}
             ADDI r4, r0, 0
             ADDI r12, r0, {table_base}
@@ -464,7 +467,7 @@ def _setup_saxpy(plan, mode, n, seed):
             ADDI r11, r0, {a_val}
             SPWR r11, 1
             ADDI r1, r0, {base}
-            LUI r2, {SPARE_ALIAS >> 16}
+            LUI r2, {plan.scalar_operand(base) >> 16}
             ADDI r3, r0, {base + n}
             ADDI r4, r0, 0
         loop:
@@ -482,7 +485,7 @@ def _setup_saxpy(plan, mode, n, seed):
             ADDI r11, r0, {a_val}
             SPWR r11, 1
             ADDI r1, r0, {base}
-            LUI r2, {SPARE_ALIAS >> 16}
+            LUI r2, {plan.scalar_operand(base) >> 16}
             ADDI r3, r0, {base + n}
             ADDI r4, r0, 0
         loop:
@@ -521,10 +524,10 @@ _PLANNERS = {
 }
 
 
-def _rewritten(kernel: str, n: int, seed: int, config: ArrayConfig):
+def _rewritten(kernel: str, n: int, seed: int):
     """Baseline setup, its transform report under the kernel's plan, and the
     plan; raises unless the transform makes the kernel's expected rewrites."""
-    plan = _PLANNERS[kernel](config, n)
+    plan = _PLANNERS[kernel](ArrayConfig(), n)
     setup = _BUILDERS[kernel](plan, "base", n, seed)
     report = transform(setup.program, plan)
     expected = _REWRITES.get(kernel, 0)
@@ -535,8 +538,7 @@ def _rewritten(kernel: str, n: int, seed: int, config: ArrayConfig):
     return setup, report, plan
 
 
-def transform_pair(kernel: str, n: int | None = None, seed: int = 7,
-                   config: ArrayConfig | None = None):
+def transform_pair(kernel: str, n: int | None = None, seed: int = 7):
     """Baseline program, its transform report, and the placement plan.
 
     Kernels whose baselines contain no eligible windows (early-exit scans,
@@ -546,29 +548,28 @@ def transform_pair(kernel: str, n: int | None = None, seed: int = 7,
     """
     if kernel not in _BUILDERS:
         raise BenchError(f"unknown kernel {kernel!r}")
-    cfg = config if config is not None else ArrayConfig()
     size = n if n is not None else DEFAULT_SIZES[kernel]
-    setup, report, plan = _rewritten(kernel, size, seed, cfg)
+    setup, report, plan = _rewritten(kernel, size, seed)
     return setup.program, report, plan
 
 
 def run_kernel(kernel: str, mode: str, n: int | None = None, latency: int = 1,
-               seed: int = 7, config: ArrayConfig | None = None) -> KernelRun:
+               seed: int = 7) -> KernelRun:
     """Build, place, execute and validate one kernel variant."""
     if kernel not in _BUILDERS:
         raise BenchError(f"unknown kernel {kernel!r}")
     if mode not in KERNEL_MODES[kernel]:
         raise BenchError(f"{kernel} has no mode {mode!r}")
-    cfg = config if config is not None else ArrayConfig()
     size = n if n is not None else DEFAULT_SIZES[kernel]
     if mode == "cim" and kernel in _REWRITES:
-        setup, report, _ = _rewritten(kernel, size, seed, cfg)
+        setup, report, plan = _rewritten(kernel, size, seed)
         setup = replace(setup, program=report.program)
         rewrites = len(report.rewrites)
     else:
-        setup = _BUILDERS[kernel](_PLANNERS[kernel](cfg, size), mode, size, seed)
+        plan = _PLANNERS[kernel](ArrayConfig(), size)
+        setup = _BUILDERS[kernel](plan, mode, size, seed)
         rewrites = 0
-    arr = CimArray(cfg)
+    arr = CimArray(plan.config)
     for addr, word in setup.inputs.items():
         arr.write_word(addr, word)
     arr.counters.reset()
@@ -588,26 +589,24 @@ def run_kernel(kernel: str, mode: str, n: int | None = None, latency: int = 1,
     )
 
 
-def marginal_cycles(kernel: str, mode: str, n: int, latency: int = 1,
-                    seed: int = 7, config: ArrayConfig | None = None) -> int:
+def marginal_cycles(kernel: str, mode: str, n: int, latency: int = 1, seed: int = 7) -> int:
     """Per-size cycle difference; cancels fixed program overhead."""
-    full = run_kernel(kernel, mode, n, latency, seed, config)
-    half = run_kernel(kernel, mode, n // 2, latency, seed, config)
+    full = run_kernel(kernel, mode, n, latency, seed)
+    half = run_kernel(kernel, mode, n // 2, latency, seed)
     return full.cycles - half.cycles
 
 
 def marginal_speedup(kernel: str, mode: str, n: int | None = None, latency: int = 1,
-                     seed: int = 7, config: ArrayConfig | None = None) -> float:
+                     seed: int = 7) -> float:
     size = n if n is not None else DEFAULT_SIZES[kernel]
-    base = marginal_cycles(kernel, "base", size, latency, seed, config)
-    fast = marginal_cycles(kernel, mode, size, latency, seed, config)
+    base = marginal_cycles(kernel, "base", size, latency, seed)
+    fast = marginal_cycles(kernel, mode, size, latency, seed)
     return base / fast
 
 
-def latency_sweep(kernel: str, mode: str, latencies, n: int | None = None,
-                  seed: int = 7, config: ArrayConfig | None = None):
+def latency_sweep(kernel: str, mode: str, latencies, n: int | None = None, seed: int = 7):
     """(latency, marginal speedup over base) points."""
-    return [(lat, marginal_speedup(kernel, mode, n, lat, seed, config)) for lat in latencies]
+    return [(lat, marginal_speedup(kernel, mode, n, lat, seed)) for lat in latencies]
 
 
 def format_run(run: KernelRun) -> str:

@@ -135,15 +135,15 @@ class ArrayConfig:
     """Array geometry and word protection.
 
     rows_per_bank includes the spare row; the linear address space covers
-    rows_per_bank - 1 data rows per bank and ends below SPARE_ALIAS.
-    vector_length is the lane count of the vector unit (4 or 8).
+    rows_per_bank - 1 data rows per bank and ends below SPARE_ALIAS.  The
+    vector unit takes 4 or 8 lanes at any width; a vector access must fit
+    in its operands' rows (see ``CimArray.vcim``).
     """
 
     banks: int = 4
     rows_per_bank: int = 129
     words_per_row: int = 16
     word_width: int = 32
-    vector_length: int = 8
     code: str = "ec3ed4"
 
     def __post_init__(self):
@@ -151,10 +151,6 @@ class ArrayConfig:
             raise ValueError("banks and words_per_row must be positive")
         if self.rows_per_bank < 2:
             raise ValueError("need at least one data row plus the spare")
-        if self.vector_length not in (4, 8):
-            raise ValueError("vector_length must be 4 or 8")
-        if self.vector_length > self.words_per_row:
-            raise ValueError("vector_length cannot exceed words_per_row")
         if self.total_words > SPARE_ALIAS:
             raise ValueError(f"{self.total_words} data words reach the spare-row alias "
                              f"window at {SPARE_ALIAS}")
@@ -188,10 +184,6 @@ class Addr:
     def to_linear(self, config: ArrayConfig) -> int:
         """Linear address of a data word; ValueError outside the data rows."""
         return _locate(config, self)[0]
-
-    @classmethod
-    def from_linear(cls, config: ArrayConfig, linear: int) -> "Addr":
-        return cls(*_locate(config, linear)[1:])
 
 
 @dataclass
@@ -576,12 +568,13 @@ class CimArray:
     def vcim(self, op: CimOp, addr_a, addr_b, lanes: int, reduce: str) -> int:
         """Multi-lane op over consecutive groups with a reduction.
 
-        Lane k pairs word addr_a+k with addr_b+k; all lanes must stay in
-        the operands' rows.  Reductions: "sum" adds lane results modulo
-        2^word_width, "zcmp" sets bit k iff lane k's result is nonzero.
-        The vector unit is digital and noise-free.
+        Lane k pairs word addr_a+k with addr_b+k.  lanes is 4 or 8, and
+        all lanes must stay in the operands' rows: the starting group plus
+        lanes may not pass words_per_row.  Reductions: "sum" adds lane
+        results modulo 2^word_width, "zcmp" sets bit k iff lane k's result
+        is nonzero.  The vector unit is digital and noise-free.
         """
-        if lanes not in (4, 8) or lanes > self.config.vector_length:
+        if lanes not in (4, 8):
             raise ValueError("bad lane count")
         if reduce not in ("sum", "zcmp"):
             raise ValueError("reduce must be sum or zcmp")

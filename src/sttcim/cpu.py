@@ -22,9 +22,11 @@ Timing: every instruction costs one cycle plus ``memory_latency`` cycles
 per array access it triggers.  A two-row op that falls back to the
 near-memory path costs three accesses; everything else costs one.
 
-Each memory instruction emits one ``BusTransaction``.  The bus has a
-single secondary channel shared by the second operand address and the
-write data, so no transaction may carry both; the constructor enforces it.
+The memory bus has one secondary channel, shared by the second operand
+address and the write data.  The ISA never needs both at once: the
+instructions that send two addresses (the CiM and VCIM two-row ops) send
+no data, and the two that send data (STW, SPWR) read it from one register
+and send one address.
 
 ``_ISA`` is the single description of this instruction set: one operand
 signature per mnemonic, the 16 ``VCIM.<OP>.<RED>.<N>`` forms included.  The
@@ -52,7 +54,6 @@ __all__ = [
     "CpuFault",
     "Instruction",
     "Program",
-    "BusTransaction",
     "RunResult",
     "Cpu",
     "parse_program",
@@ -156,22 +157,6 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instructions)
-
-
-@dataclass(frozen=True)
-class BusTransaction:
-    """One array command as seen on the memory bus."""
-
-    addr_a: int
-    addr_b: int | None = None
-    cim_type: CimOp | None = None
-    write_data: int | None = None
-    vector_meta: tuple[int, str] | None = None
-    spare: bool = False
-
-    def __post_init__(self):
-        if self.addr_b is not None and self.write_data is not None:
-            raise ValueError("addr_b and write_data share one bus channel")
 
 
 @dataclass(frozen=True)
@@ -357,10 +342,7 @@ def _lui(cpu, pc, x):
 
 def _ldw(cpu, pc, x):
     d, imm, base = x
-    addr = (cpu.regs[base] + imm) & cpu._mask
-    value = cpu.array.read_word(addr)
-    if cpu.bus is not None:
-        cpu.bus.append(BusTransaction(addr_a=addr))
+    value = cpu.array.read_word((cpu.regs[base] + imm) & cpu._mask)
     if d:
         cpu.regs[d] = value & cpu._mask
     return pc + 1, 1
@@ -368,20 +350,13 @@ def _ldw(cpu, pc, x):
 
 def _stw(cpu, pc, x):
     s, imm, base = x
-    addr = (cpu.regs[base] + imm) & cpu._mask
-    value = cpu.regs[s]
-    cpu.array.write_word(addr, value)
-    if cpu.bus is not None:
-        cpu.bus.append(BusTransaction(addr_a=addr, write_data=value))
+    cpu.array.write_word((cpu.regs[base] + imm) & cpu._mask, cpu.regs[s])
     return pc + 1, 1
 
 
 def _cim(cpu, pc, x):
     op, d, a, b = x
-    addr_a, addr_b = cpu.regs[a], cpu.regs[b]
-    value, accesses = cpu.array.cim_word(op, addr_a, addr_b)
-    if cpu.bus is not None:
-        cpu.bus.append(BusTransaction(addr_a=addr_a, addr_b=addr_b, cim_type=op))
+    value, accesses = cpu.array.cim_word(op, cpu.regs[a], cpu.regs[b])
     if d:
         cpu.regs[d] = value & cpu._mask
     return pc + 1, accesses
@@ -389,10 +364,7 @@ def _cim(cpu, pc, x):
 
 def _cimnot(cpu, pc, x):
     d, a = x
-    addr = cpu.regs[a]
-    value, accesses = cpu.array.cim_not(addr)
-    if cpu.bus is not None:
-        cpu.bus.append(BusTransaction(addr_a=addr, cim_type=CimOp.NOT))
+    value, accesses = cpu.array.cim_not(cpu.regs[a])
     if d:
         cpu.regs[d] = value & cpu._mask
     return pc + 1, accesses
@@ -400,11 +372,7 @@ def _cimnot(cpu, pc, x):
 
 def _vcim(cpu, pc, x):
     op, lanes, reduce, d, a, b = x
-    addr_a, addr_b = cpu.regs[a], cpu.regs[b]
-    value = cpu.array.vcim(op, addr_a, addr_b, lanes, reduce)
-    if cpu.bus is not None:
-        cpu.bus.append(BusTransaction(addr_a=addr_a, addr_b=addr_b, cim_type=op,
-                                      vector_meta=(lanes, reduce)))
+    value = cpu.array.vcim(op, cpu.regs[a], cpu.regs[b], lanes, reduce)
     if d:
         cpu.regs[d] = value & cpu._mask
     return pc + 1, 1
@@ -421,8 +389,6 @@ def _spwr(cpu, pc, x):
     for bank in range(banks):
         if mask >> bank & 1:
             cpu.array.write_spare(bank, value)
-    if cpu.bus is not None:
-        cpu.bus.append(BusTransaction(addr_a=0, write_data=value, spare=True))
     return pc + 1, 1
 
 
@@ -481,8 +447,7 @@ class Cpu:
     """Executes a Program against a CimArray with cycle accounting.  The
     program is decoded once, at construction."""
 
-    def __init__(self, array: CimArray, program: Program,
-                 memory_latency: int = 1, trace_bus: bool = False):
+    def __init__(self, array: CimArray, program: Program, memory_latency: int = 1):
         if memory_latency < 0:
             raise ValueError("memory_latency must be non-negative")
         self.array = array
@@ -496,27 +461,18 @@ class Cpu:
         self.cycles = 0
         self.executed = 0
         self.halted = False
-        self.bus: list[BusTransaction] = [] if trace_bus else None
         self._mask = (1 << array.config.word_width) - 1
         self._sign = 1 << (array.config.word_width - 1)
 
-    def step(self) -> None:
-        if self.halted:
-            raise CpuFault("stepping a halted CPU")
-        self._execute(self.executed + 1)
-
     def run(self, max_steps: int = 10_000_000) -> RunResult:
-        self._execute(max_steps)
-        if not self.halted:
-            raise CpuFault(f"exceeded {max_steps} steps without HALT")
-        return RunResult(cycles=self.cycles, instructions=self.executed, halted=True)
-
-    def _execute(self, limit: int) -> None:
-        """Step until HALT or until `limit` instructions have executed."""
+        """Step until HALT; CpuFault once max_steps instructions have run
+        in all without one.  The state is kept, so a later run resumes."""
         code, latency = self._code, self.memory_latency
         pc, cycles, executed = self.pc, self.cycles, self.executed
         try:
-            while not self.halted and executed < limit:
+            while not self.halted:
+                if executed >= max_steps:
+                    raise CpuFault(f"exceeded {max_steps} steps without HALT")
                 if not 0 <= pc < len(code):
                     raise CpuFault(f"pc {pc} outside the program")
                 handler, operands, line = code[pc]
@@ -528,3 +484,4 @@ class Cpu:
                 executed += 1
         finally:
             self.pc, self.cycles, self.executed = pc, cycles, executed
+        return RunResult(cycles=cycles, instructions=executed, halted=True)

@@ -45,6 +45,7 @@ and each array is summed once per chunk, so the block size changes no bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -504,7 +505,9 @@ def load_device_config(path) -> tuple[DeviceParams, VariationSpec]:
     """Parse a key=value device config file.
 
     Unspecified keys keep their defaults.  mtj_side_nm is the square-junction
-    edge length and is mutually exclusive with mtj_area_um2.
+    edge length and is mutually exclusive with mtj_area_um2.  Every value
+    must be a finite number, and the nominal current levels must pass
+    ``current_levels``; ConfigError otherwise, naming the file.
     """
     values: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -521,9 +524,12 @@ def load_device_config(path) -> tuple[DeviceParams, VariationSpec]:
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                values[key] = float(val.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad number for {key!r}") from exc
+                number = float(val.strip())
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                raise ConfigError(f"{path}:{lineno}: bad number for {key!r}")
+            values[key] = number
 
     params = _fields(_PARAM_KEYS, values)
     side_nm = values.get("mtj_side_nm")
@@ -533,6 +539,9 @@ def load_device_config(path) -> tuple[DeviceParams, VariationSpec]:
         side_um = side_nm * 1e-3
         params["mtj_area"] = side_um * side_um
     try:
-        return DeviceParams(**params), VariationSpec(**_fields(_VARIATION_KEYS, values))
+        device = DeviceParams(**params)
+        variation = VariationSpec(**_fields(_VARIATION_KEYS, values))
+        current_levels(device)  # the nominal levels must decode
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return device, variation

@@ -76,10 +76,6 @@ class DecodeResult(NamedTuple):
     codeword: int | None
     error_positions: tuple[int, ...] = ()
 
-    @property
-    def errors(self) -> int:
-        return len(self.error_positions)
-
 
 def _parity(x: int) -> int:
     return bin(x).count("1") & 1

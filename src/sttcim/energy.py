@@ -34,7 +34,6 @@ __all__ = [
     "EVENT_COMPONENTS",
     "VCIM_LANE_INCREMENT",
     "event_energy",
-    "vcim_energy",
     "EnergyBreakdown",
     "account",
 ]
@@ -100,13 +99,6 @@ def event_energy(event: str) -> float:
     return sum(EVENT_COMPONENTS[event].values())
 
 
-def vcim_energy(lanes: int) -> float:
-    """Total energy of one vector access with the given lane count."""
-    if lanes < 1:
-        raise ValueError("lanes must be positive")
-    return event_energy("cim_op") + (lanes - 1) * sum(VCIM_LANE_INCREMENT.values())
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
     read: float
@@ -121,12 +113,6 @@ class EnergyBreakdown:
     def as_dict(self) -> dict[str, float]:
         values = (self.read, self.write, self.cim, self.nm_corrections)
         return {**dict(zip(CATEGORIES, values)), "Total": self.total}
-
-    def format_table(self) -> str:
-        lines = ["category,energy"]
-        for key, val in self.as_dict().items():
-            lines.append(f"{key},{val:.6f}")
-        return "\n".join(lines) + "\n"
 
 
 def account(counters: AccessCounters) -> EnergyBreakdown:

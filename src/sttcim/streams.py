@@ -9,9 +9,9 @@ through the inverse CDF instead.
 Quality is splitmix64-grade, which is plenty for threshold-crossing Monte
 Carlo; the device tests check moment recovery empirically.
 
-All three stages (hash, uniform, normal) run in place in one buffer per
-call, so a call allocates one array the size of its indices plus one
-scratch array for the hash.  The variation Monte Carlo, which draws the
+Both stages (hash to uniform, uniform to normal) run in place in one
+buffer per call, so a call allocates one array the size of its indices
+plus one scratch array for the hash.  The variation Monte Carlo, which draws the
 same shape block after block, passes its own index buffer and scratch
 instead, so its blocks reuse two arrays rather than map fresh ones.
 
@@ -33,7 +33,6 @@ _GOLDEN_INT = 0x9E3779B97F4A7C15
 _ROUNDS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 _GOLDEN = _U64(_GOLDEN_INT)
 _ROUNDS_U64 = tuple((_U64(shift), _U64(mult)) for shift, mult in _ROUNDS)
-_WORDS, _UNIFORMS, _NORMALS = range(3)
 
 
 def _mix64_inplace(x: np.ndarray, t: np.ndarray) -> None:
@@ -59,9 +58,9 @@ def seed_state(seed: int) -> np.uint64:
     return _U64(x ^ (x >> 31))
 
 
-def _draw(seed: int, indices, stage: int, scratch=None):
-    """Stream words at the given indices, carried up to the given stage in
-    the one buffer: 64-bit word, uniform double, standard normal.
+def _draw(seed: int, indices, normals: bool, scratch=None):
+    """Uniform doubles at the given indices, or standard normals if normals
+    is set, built from the hashed 64-bit stream words in the one buffer.
 
     Given scratch, a uint64 array of the indices' shape for the hash,
     indices must be a uint64 array too: it becomes the buffer, the draw
@@ -76,30 +75,23 @@ def _draw(seed: int, indices, stage: int, scratch=None):
     np.multiply(x, _GOLDEN, out=x)
     np.add(x, seed_state(seed), out=x)
     _mix64_inplace(x, scratch)
-    out = x
-    if stage != _WORDS:
-        # 53 mantissa bits, offset by half an ulp so 0.0 is unreachable.
-        out = x.view(np.float64)
-        np.right_shift(x, _U64(11), out=x)
-        np.multiply(x, 2.0**-53, out=out)
-        np.add(out, 2.0**-54, out=out)
-        if stage == _NORMALS:
-            from scipy.special import ndtri
-            ndtri(out, out=out)
+    # 53 mantissa bits, offset by half an ulp so 0.0 is unreachable.
+    out = x.view(np.float64)
+    np.right_shift(x, _U64(11), out=x)
+    np.multiply(x, 2.0**-53, out=out)
+    np.add(out, 2.0**-54, out=out)
+    if normals:
+        from scipy.special import ndtri
+        ndtri(out, out=out)
     return out if out.ndim else out[()]
-
-
-def hash_words(seed: int, indices) -> np.ndarray:
-    """64-bit stream words at the given indices."""
-    return _draw(seed, indices, _WORDS)
 
 
 def uniforms(seed: int, indices) -> np.ndarray:
     """Doubles strictly inside (0, 1), one per index."""
-    return _draw(seed, indices, _UNIFORMS)
+    return _draw(seed, indices, False)
 
 
 def unit_normals(seed: int, indices, scratch=None) -> np.ndarray:
     """Standard normal draws via the inverse CDF, one per index.  Given
     scratch, the draw runs in place over indices as ``_draw`` says."""
-    return _draw(seed, indices, _NORMALS, scratch)
+    return _draw(seed, indices, True, scratch)

@@ -23,6 +23,7 @@ from sttcim.cimarray import (
     _BlockSampler,
     selftest,
 )
+from sttcim.cpu import Cpu, CpuFault, parse_program
 from sttcim.device import IDEAL_DECISIONS, ConfigError, DeviceParams, VariationSpec, cell_factors
 from sttcim.streams import uniforms
 from sttcim.xform import addresses_aligned
@@ -55,11 +56,12 @@ def test_addr_linear_roundtrip():
     assert cfg.words_per_bank == 2048
     assert cfg.total_words == 8192
     for linear in (0, 1, 15, 16, 2047, 2048, 8191):
-        a = Addr.from_linear(cfg, linear)
-        assert a.to_linear(cfg) == linear
-    assert Addr.from_linear(cfg, 2048) == Addr(bank=1, row=0, group=0)
+        rows, group = divmod(linear, cfg.words_per_row)
+        bank, row = divmod(rows, cfg.data_rows)
+        assert Addr(bank, row, group).to_linear(cfg) == linear
+    assert Addr(bank=1, row=0, group=0).to_linear(cfg) == 2048
     with pytest.raises(ValueError):
-        Addr.from_linear(cfg, 8192)
+        CimArray(cfg).read_word(8192)
 
 
 @pytest.mark.parametrize("addr", [
@@ -80,7 +82,7 @@ def test_to_linear_rejects_out_of_range_coordinates(addr):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ArrayConfig(vector_length=5)
+        ArrayConfig(words_per_row=0)
     with pytest.raises(ValueError):
         ArrayConfig(rows_per_bank=1)
     with pytest.raises(ValueError):
@@ -94,7 +96,7 @@ def test_data_words_end_below_the_spare_alias():
         ArrayConfig(banks=128, rows_per_bank=1025, words_per_row=16)
     assert ArrayConfig(banks=64, rows_per_bank=1025, words_per_row=16).total_words == SPARE_ALIAS
     with pytest.raises(ValueError, match="^spare-row alias is only valid as a CiM operand$"):
-        Addr.from_linear(ArrayConfig(), SPARE_ALIAS + 5)
+        CimArray().read_word(SPARE_ALIAS + 5)
 
 
 def test_write_read_roundtrip():
@@ -208,6 +210,25 @@ def test_vcim_validation():
         arr.vcim(CimOp.ADD, Addr(0, 0, 12), Addr(0, 1, 12), lanes=8, reduce="sum")
     with pytest.raises(ValueError):
         arr.vcim(CimOp.ADD, Addr(0, 0, 0), Addr(1, 1, 0), lanes=4, reduce="sum")
+
+
+def test_vcim_lanes_must_fit_the_row():
+    # The lane count is 4 or 8 at any row width; a short row only limits
+    # where a vector access may start.
+    cfg = ArrayConfig(words_per_row=4)
+    arr = CimArray(cfg)
+    for k in range(4):
+        arr.write_word(Addr(0, 0, k), k + 1)
+        arr.write_word(Addr(0, 1, k), 10)
+    assert arr.vcim(CimOp.ADD, Addr(0, 0, 0), Addr(0, 1, 0), lanes=4, reduce="sum") == 50
+    with pytest.raises(ValueError, match="^vector access crosses a row boundary$"):
+        arr.vcim(CimOp.ADD, Addr(0, 0, 0), Addr(0, 1, 0), lanes=8, reduce="sum")
+    with pytest.raises(ValueError, match="^vector access crosses a row boundary$"):
+        arr.vcim(CimOp.ADD, Addr(0, 0, 1), Addr(0, 1, 1), lanes=4, reduce="sum")
+    assert (arr.counters.vcim_ops, arr.counters.vcim_lanes) == (1, 4)
+    src = "ADDI r1, r0, 0\nADDI r2, r0, 4\nVCIM.ADD.SUM.8 r3, r1, r2\nHALT\n"
+    with pytest.raises(CpuFault, match="^line 3: vector access crosses a row boundary$"):
+        Cpu(arr, parse_program(src)).run()
 
 
 def test_injected_noise_xor_fixup_stays_in_array():
@@ -615,7 +636,7 @@ def test_injected_noise_blocks_keep_16_then_32(n):
 
 # Two banks of two data rows plus the spare, so spare, row-crossing and
 # aligned operands come up often.
-_SMALL = ArrayConfig(banks=2, rows_per_bank=3, words_per_row=8, word_width=8, vector_length=8)
+_SMALL = ArrayConfig(banks=2, rows_per_bank=3, words_per_row=8, word_width=8)
 _SPARE_ROW = _SMALL.rows_per_bank - 1
 _MASK8 = (1 << _SMALL.word_width) - 1
 

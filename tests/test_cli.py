@@ -224,6 +224,12 @@ def test_device_mc_bad_input_fails_cleanly(tmp_path, capsys):
     negative_sigma.write_text("tox_sigma_pct = -1\n")
     both_sizes = tmp_path / "both_sizes.cfg"
     both_sizes.write_text("mtj_side_nm = 40\nmtj_area_um2 = 0.0016\n")
+    nan_tmr = tmp_path / "nan_tmr.cfg"
+    nan_tmr.write_text("ra_product_ohm_um2 = 18\ntmr_pct = nan\n")
+    inf_voltage = tmp_path / "inf_voltage.cfg"
+    inf_voltage.write_text("read_voltage_v = inf\n")
+    low_ref = tmp_path / "low_ref.cfg"  # the read reference sits above both states' currents
+    low_ref.write_text("ref_resistance_ohm = 1\n")
     cases = [
         (["--config", str(missing)], f"cannot read {missing}: No such file or directory"),
         (["--config", str(tmp_path)], f"cannot read {tmp_path}: Is a directory"),
@@ -233,6 +239,10 @@ def test_device_mc_bad_input_fails_cleanly(tmp_path, capsys):
         (["--config", str(negative_tmr)], f"{negative_tmr}: tmr must be positive"),
         (["--config", str(negative_sigma)], f"{negative_sigma}: sigmas must be non-negative"),
         (["--config", str(both_sizes)], f"{both_sizes}: give mtj_side_nm or mtj_area_um2"),
+        (["--config", str(nan_tmr)], f"{nan_tmr}:2: bad number for 'tmr_pct'"),
+        (["--config", str(inf_voltage)], f"{inf_voltage}:1: bad number for 'read_voltage_v'"),
+        (["--config", str(low_ref)],
+         f"{low_ref}: read reference does not separate the stored states"),
         (["--scale", "100"], "variation draws kept producing non-positive resistances"),
     ]
     for extra, message in cases:

@@ -12,7 +12,6 @@ from sttcim import cpu as cpu_module, xform
 from sttcim.cimarray import Addr, ArrayConfig, CimArray, SPARE_ALIAS
 from sttcim.cpu import (
     AsmError,
-    BusTransaction,
     Cpu,
     CpuFault,
     Instruction,
@@ -22,8 +21,8 @@ from sttcim.cpu import (
 )
 
 
-def _run(asm, array=None, latency=1, trace=False):
-    cpu = Cpu(array or CimArray(), parse_program(asm), memory_latency=latency, trace_bus=trace)
+def _run(asm, array=None, latency=1):
+    cpu = Cpu(array or CimArray(), parse_program(asm), memory_latency=latency)
     result = cpu.run()
     return cpu, result
 
@@ -266,16 +265,14 @@ def test_cim_ops_end_to_end():
         CIMNOT r7, r1
         HALT
         """
-    ), trace_bus=True)
+    ))
     cpu.run()
     assert cpu.regs[3] == 0x0F0F ^ 0x00FF
     assert cpu.regs[4] == 0x0F0F & 0x00FF
     assert cpu.regs[5] == 0x0F0F | 0x00FF
     assert cpu.regs[6] == 0x0F0F + 0x00FF
     assert cpu.regs[7] == 0x0F0F ^ 0xFFFFFFFF
-    cim_txns = [t for t in cpu.bus if t.cim_type is not None]
-    assert len(cim_txns) == 5
-    assert cim_txns[0].addr_a == 10 and cim_txns[0].addr_b == 26
+    assert arr.counters.cim_ops == 5
 
 
 def test_vcim_instructions():
@@ -341,9 +338,15 @@ def test_step_limit_guard():
         cpu.run(max_steps=100)
 
 
-def test_bus_channel_conflict_rejected():
-    with pytest.raises(ValueError):
-        BusTransaction(addr_a=0, addr_b=1, write_data=2)
+def test_no_instruction_sends_a_second_address_and_write_data():
+    # The second operand address and the write data share one bus channel.
+    isa = cpu_module._ISA
+    two_address = [op for op in isa if op.startswith(("CIM", "VCIM.")) and op != "CIMNOT"]
+    assert len(two_address) == 6 + 16
+    assert {isa[op] for op in two_address} == {"wrr"}  # a result, no data
+    # The two that send write data read it from one register and send one
+    # address: STW's imm(reg), SPWR's spare row under a bank mask.
+    assert (isa["STW"], isa["SPWR"]) == ("rm", "ro")
 
 
 def test_sub_word_width_config():
@@ -355,7 +358,7 @@ def test_sub_word_width_config():
     assert cpu.regs[2] == 0x1234 ^ 0xFFFF
 
 
-def test_step_matches_run_and_faults_leave_state():
+def test_run_stopped_at_max_steps_resumes_to_the_uninterrupted_state():
     src = """
         ADDI r1, r0, 3
     loop:
@@ -366,19 +369,21 @@ def test_step_matches_run_and_faults_leave_state():
         HALT
     """
     ran = Cpu(CimArray(), parse_program(src), memory_latency=2)
-    ran.run()
-    stepped = Cpu(CimArray(), parse_program(src), memory_latency=2)
-    while not stepped.halted:
-        stepped.step()
-    assert (stepped.regs, stepped.cycles, stepped.executed, stepped.pc) == (
+    whole = ran.run()
+    resumed = Cpu(CimArray(), parse_program(src), memory_latency=2)
+    with pytest.raises(CpuFault, match="^exceeded 5 steps without HALT$"):
+        resumed.run(max_steps=5)
+    assert (resumed.executed, resumed.halted) == (5, False)
+    assert resumed.run() == whole
+    assert (resumed.regs, resumed.cycles, resumed.executed, resumed.pc) == (
         ran.regs, ran.cycles, ran.executed, ran.pc)
-    with pytest.raises(CpuFault, match="^stepping a halted CPU$"):
-        stepped.step()
+    assert resumed.array.counters == ran.array.counters
 
+
+def test_running_off_the_end_faults_and_keeps_state():
     cpu = Cpu(CimArray(), parse_program("ADDI r1, r0, 1\n"))
-    cpu.step()
     with pytest.raises(CpuFault, match="^pc 1 outside the program$"):
-        cpu.step()
+        cpu.run()
     assert (cpu.pc, cpu.cycles, cpu.executed) == (1, 1, 1)
 
 
@@ -405,7 +410,7 @@ def test_decode_checks_labels_and_defers_unknown_ops():
     assert cpu.run().instructions == 1
     cpu = Cpu(CimArray(), Program([Instruction("FROB", (), (), 7)]))
     with pytest.raises(CpuFault, match="^line 7: unknown op 'FROB'$"):
-        cpu.step()
+        cpu.run()
 
 
 def test_finished_cpu_is_freed_without_the_cycle_collector():

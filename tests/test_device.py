@@ -23,7 +23,7 @@ from sttcim.device import (
     monte_carlo_failures,
     sense_bit,
 )
-from sttcim.streams import hash_words, seed_state, uniforms, unit_normals
+from sttcim.streams import seed_state, uniforms, unit_normals
 
 REL = 1e-12
 
@@ -105,14 +105,14 @@ def test_param_validation():
 
 def test_stream_determinism_and_order_independence():
     idx = np.arange(1000, dtype=np.uint64)
-    a = hash_words(7, idx)
-    b = hash_words(7, idx)
+    a = uniforms(7, idx)
+    b = uniforms(7, idx)
     assert np.array_equal(a, b)
     # Permuted index order returns the same per-index values.
     perm = np.random.default_rng(0).permutation(1000).astype(np.uint64)
-    c = hash_words(7, perm)
+    c = uniforms(7, perm)
     assert np.array_equal(c, a[perm])
-    assert not np.array_equal(hash_words(8, idx), a)
+    assert not np.array_equal(uniforms(8, idx), a)
 
 
 def test_uniforms_open_interval():
@@ -229,8 +229,7 @@ _stream_indices = _stream_shapes.flatmap(lambda shape: arrays(
        indices=_stream_indices)
 def test_streams_match_out_of_place_reference(seed, indices):
     before = indices.copy()
-    for fn, ref in ((hash_words, _ref_hash_words), (uniforms, _ref_uniforms),
-                    (unit_normals, _ref_unit_normals)):
+    for fn, ref in ((uniforms, _ref_uniforms), (unit_normals, _ref_unit_normals)):
         got, want = fn(seed, indices), ref(seed, indices)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

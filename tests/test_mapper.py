@@ -10,7 +10,8 @@ CFG = ArrayConfig()
 
 
 def _coords(linear):
-    return Addr.from_linear(CFG, linear)
+    rows, group = divmod(linear, CFG.words_per_row)
+    return Addr(*divmod(rows, CFG.data_rows), group)
 
 
 def test_type1_single_bank_layout():
