@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 from .cimarray import ArrayConfig, CimArray
 from .cpu import Cpu, Program, parse_program
 from .energy import EnergyBreakdown, account
-from .mapper import MapPlan, PlanSegment, plan_type1, plan_type2, plan_type3
+from .mapper import MapPlan, PlanError, PlanSegment, plan_type1, plan_type2, plan_type3
 from .xform import transform
 
 __all__ = [
@@ -192,8 +192,7 @@ def _blit_plan(config: ArrayConfig, n: int) -> MapPlan:
         PlanSegment("M", 0, n, n),
         PlanSegment("D", 0, 2 * n, n),
     )
-    return MapPlan(config=config, pattern="type1", total={"S": n, "M": n, "D": n},
-                   segments=segments, banks_used=1)
+    return MapPlan(config=config, pattern="type1", segments=segments)
 
 
 def _setup_blit(plan, mode, n, seed):
@@ -590,9 +589,13 @@ def run_kernel(kernel: str, mode: str, n: int | None = None, latency: int = 1,
 
 
 def marginal_cycles(kernel: str, mode: str, n: int, latency: int = 1, seed: int = 7) -> int:
-    """Per-size cycle difference; cancels fixed program overhead."""
+    """Per-size cycle difference; cancels fixed program overhead.  A failing
+    half-size run raises a BenchError that names its size."""
     full = run_kernel(kernel, mode, n, latency, seed)
-    half = run_kernel(kernel, mode, n // 2, latency, seed)
+    try:
+        half = run_kernel(kernel, mode, n // 2, latency, seed)
+    except (BenchError, PlanError) as exc:
+        raise BenchError(f"the half-size run (n={n // 2}) failed: {exc}") from exc
     return full.cycles - half.cycles
 
 

@@ -234,17 +234,31 @@ class IdealSampler:
         return a | b, a & b
 
 
-# A block of consecutive access ids is drawn in one call.  The first block
-# of a run is _BLOCK_START accesses and each block that continues the last
-# doubles, up to _BLOCK_CAP.  Short-lived samplers (perfbench's faults
-# workload makes one per 100 accesses) waste part of their last block; long
-# runs amortize numpy's per-call cost.  Measured on a 2-core x86 host, caps
-# of 16 to 32 are fastest on faults, 32 runs acceptance criterion 4 (320,000
-# sequential accesses) in 3.1 s against 4.3 s at 16, and caps of 64 and
-# above add 2-6% peak RSS for no gain.  A sampler may cap its blocks lower
-# at n columns (``_cap``); the first block never exceeds the cap.
+# A block of consecutive access ids is drawn in one call, by one rule: the
+# first block of a run is _BLOCK_START accesses, each block that continues
+# the last doubles, and no block exceeds _BLOCK_CAP accesses or makes a fill
+# array (8 bytes per draw, _DRAWS draws per column and access) larger than
+# _BLOCK_BYTES.  Short-lived samplers (perfbench's faults workload makes one
+# per 100 accesses) waste part of their last block, and a 32-access first
+# block made a faults pass about 4% slower; long runs amortize numpy's
+# per-call cost.  On a 2-core x86 host caps of 16 to 32 are fastest on
+# faults, 32 runs acceptance criterion 4 (320,000 sequential accesses) in
+# 3.1 s against 4.3 s at 16, and caps of 64 and above add 2-6% peak RSS for
+# no gain.  Under 128 KiB, glibc serves fill arrays from the heap, not fresh
+# mappings: 32-access device blocks at 51 columns (235 KB arrays) cost every
+# faults pass 10,900-11,900 minor page faults in 12 of 12 fresh processes
+# (getrusage); with the bound (17 accesses at 51 columns, 12 at 72, 32 at 27)
+# the median pass took none.
 _BLOCK_START = 16
 _BLOCK_CAP = 32
+_BLOCK_BYTES = 1 << 17
+
+
+def _entities(first: int, count: int, n: int) -> np.ndarray:
+    """(count, n) stream entities of accesses first .. first + count - 1 at
+    n columns: access * 2^20 + column."""
+    accesses = np.arange(first, first + count, dtype=np.uint64)
+    return (accesses * np.uint64(SPARE_ALIAS))[:, None] + np.arange(n, dtype=np.uint64)
 
 
 class _BlockSampler:
@@ -254,19 +268,17 @@ class _BlockSampler:
     order, a pure function of (seed, access, n).  Sensing selects each
     column's decision by its stored bits."""
 
+    # Draws per column and access in one fill.
+    _DRAWS = 1
     # The cached block: accesses _first .. _end - 1 at n columns.
     _n = None
     _first = _end = _size = 0
     _block: list | tuple = ()
 
-    def _cap(self, n: int) -> int:
-        """Largest block at n columns."""
-        return _BLOCK_CAP
-
     def _entry(self, access: int, n: int):
         if n == self._n and self._first <= access < self._end:
             return self._block[access - self._first]
-        cap = self._cap(n)
+        cap = max(1, min(_BLOCK_CAP, _BLOCK_BYTES // (8 * self._DRAWS * n)))
         if n == self._n and access == self._end:
             size = min(2 * self._size, cap)
         else:
@@ -313,9 +325,7 @@ class InjectedColumnNoise(_BlockSampler):
         self.seed = seed
 
     def _fill(self, first, count, n):
-        accesses = np.arange(first, first + count, dtype=np.uint64)
-        ent = (accesses * np.uint64(SPARE_ALIAS))[:, None] + np.arange(n, dtype=np.uint64)
-        u = uniforms(self.seed, ent)
+        u = uniforms(self.seed, _entities(first, count, n))
         full = (1 << n) - 1
         tables = []
         # A hit raises 00 above the or-reference and drops 11 below the
@@ -347,28 +357,12 @@ class DeviceColumnSampler(_BlockSampler):
         self.variation = variation if variation is not None else VariationSpec()
         self.seed = seed
 
-    # A block fill makes 8-byte arrays with _DRAWS_PER_CELL entries per
-    # sensed slot, column and access (144 B per column and access): the
-    # normals, drawn in place over their indices, and the stream hash's
-    # scratch.  Blocks keep
-    # them under glibc's default 128 KiB mmap threshold, so they come from
-    # the heap instead of fresh mappings.  With 32-access blocks at 51
-    # columns (235 KB arrays) every pass of perfbench's faults workload took
-    # 10,900-11,900 minor page faults in 12 of 12 fresh processes
-    # (getrusage); with this cap (17 accesses at 51 columns, 12 at 72, still
-    # 32 at 27) the median pass took none in 12 of 12, and no pass after the
-    # first took over 3.
-    _BLOCK_BYTES = 1 << 17
-
-    def _cap(self, n):
-        per_access = len(SENSED_SLOTS) * _DRAWS_PER_CELL * 8 * n
-        return max(1, min(_BLOCK_CAP, self._BLOCK_BYTES // per_access))
+    _DRAWS = len(SENSED_SLOTS) * _DRAWS_PER_CELL  # normals and hash scratch: 144 B
 
     def _fill(self, first, count, n):
         # Entity access * SPARE_ALIAS + column owns cells entity * 8 + slot;
         # row k holds sensed slot k of every (access, column).
-        accesses = np.arange(first, first + count, dtype=np.uint64)
-        entities = (accesses * np.uint64(SPARE_ALIAS))[:, None] + np.arange(n, dtype=np.uint64)
+        entities = _entities(first, count, n)
         cells = (entities * np.uint64(CELLS_PER_SAMPLE)
                  + np.array(SENSED_SLOTS, np.uint64)[:, None, None])
         f, r_t = cell_factors(self.params, self.variation, self.seed, cells)

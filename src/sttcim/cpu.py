@@ -138,9 +138,6 @@ class Instruction:
     labels: tuple[str, ...] = ()
     line: int = 0
 
-    def with_labels(self, labels: tuple[str, ...]) -> "Instruction":
-        return Instruction(self.op, self.args, labels, self.line)
-
 
 @dataclass
 class Program:
@@ -163,7 +160,6 @@ class Program:
 class RunResult:
     cycles: int
     instructions: int
-    halted: bool
 
 
 _REG_RE = re.compile(r"^r([0-9]|[12][0-9]|3[01])$")
@@ -214,11 +210,8 @@ def parse_program(text: str) -> Program:
         parts = line.split(None, 1)
         op = parts[0].upper()
         args = _split_args(parts[1] if len(parts) > 1 else "")
-        ins = _parse_one(op, args, line_no)
-        if pending_labels:
-            ins = ins.with_labels(tuple(pending_labels))
-            pending_labels = []
-        instructions.append(ins)
+        instructions.append(_parse_one(op, args, line_no, tuple(pending_labels)))
+        pending_labels = []
     if pending_labels:
         raise AsmError(f"labels {pending_labels} point past the end of the program")
     prog = Program(instructions)
@@ -229,7 +222,7 @@ def parse_program(text: str) -> Program:
     return prog
 
 
-def _parse_one(op: str, args: list[str], line: int) -> Instruction:
+def _parse_one(op: str, args: list[str], line: int, labels: tuple[str, ...]) -> Instruction:
     sig = _ISA.get(op)
     if sig is None:
         what = "bad vector mnemonic" if op.startswith("VCIM.") else "unknown mnemonic"
@@ -253,7 +246,7 @@ def _parse_one(op: str, args: list[str], line: int) -> Instruction:
     values = [tok if kind in "bj" else _reg(tok, line) if kind in "wr" else _imm(tok, line)
               for kind, tok in zip(sig.replace("m", "ir"), toks)]
     values += [None] * (len(sig) - len(args))
-    return Instruction(op, tuple(values), (), line)
+    return Instruction(op, tuple(values), labels, line)
 
 
 def format_program(prog: Program) -> str:
@@ -451,10 +444,8 @@ class Cpu:
         if memory_latency < 0:
             raise ValueError("memory_latency must be non-negative")
         self.array = array
-        self.program = program
-        self.labels = program.label_map()
-        self._code = [_decode_one(ins, self.labels) + (ins.line,)
-                      for ins in program.instructions]
+        labels = program.label_map()
+        self._code = [_decode_one(ins, labels) + (ins.line,) for ins in program.instructions]
         self.memory_latency = memory_latency
         self.regs = [0] * NUM_REGS
         self.pc = 0
@@ -465,13 +456,14 @@ class Cpu:
         self._sign = 1 << (array.config.word_width - 1)
 
     def run(self, max_steps: int = 10_000_000) -> RunResult:
-        """Step until HALT; CpuFault once max_steps instructions have run
-        in all without one.  The state is kept, so a later run resumes."""
+        """Step until HALT; CpuFault after max_steps instructions of this
+        call without one.  The state is kept, so a later run resumes."""
         code, latency = self._code, self.memory_latency
         pc, cycles, executed = self.pc, self.cycles, self.executed
+        limit = executed + max_steps
         try:
             while not self.halted:
-                if executed >= max_steps:
+                if executed >= limit:
                     raise CpuFault(f"exceeded {max_steps} steps without HALT")
                 if not 0 <= pc < len(code):
                     raise CpuFault(f"pc {pc} outside the program")
@@ -484,4 +476,4 @@ class Cpu:
                 executed += 1
         finally:
             self.pc, self.cycles, self.executed = pc, cycles, executed
-        return RunResult(cycles=cycles, instructions=executed, halted=True)
+        return RunResult(cycles=cycles, instructions=executed)

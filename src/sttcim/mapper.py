@@ -63,11 +63,9 @@ class PlanSegment:
 class MapPlan:
     config: ArrayConfig
     pattern: str
-    total: dict[str, int]
     segments: tuple[PlanSegment, ...]
     spare_fill_banks: int = 0
     replicated_rows: int = 0
-    banks_used: int = 1
 
     def address(self, name: str, index: int) -> int:
         """Linear address of element index of the named operand."""
@@ -115,12 +113,11 @@ class MapPlan:
 
 def _chunked(name: str, n: int, chunk: int, bank_base):
     """Split n elements into per-bank segments of at most chunk words, from
-    bank 0 up; also returns the bank count."""
-    segs = [
+    bank 0 up."""
+    return [
         PlanSegment(name=name, seg=k, base=bank_base(k), length=min(chunk, n - k * chunk))
         for k in range(-(-n // chunk))
     ]
-    return segs, len(segs)
 
 
 def plan_type1(config: ArrayConfig, n: int) -> MapPlan:
@@ -134,18 +131,12 @@ def plan_type1(config: ArrayConfig, n: int) -> MapPlan:
     if n > config.banks * chunk:
         raise PlanError(f"type1 capacity is {config.banks * chunk} words, asked for {n}")
     wpb = config.words_per_bank
-    a_segs, banks_used = _chunked("A", n, chunk, lambda b: b * wpb)
-    b_segs, _ = _chunked("B", n, chunk, lambda b: b * wpb + chunk)
+    a_segs = _chunked("A", n, chunk, lambda b: b * wpb)
+    b_segs = _chunked("B", n, chunk, lambda b: b * wpb + chunk)
     segs = []
     for a, b in zip(a_segs, b_segs):
         segs.extend([a, b])
-    return MapPlan(
-        config=config,
-        pattern="type1",
-        total={"A": n, "B": n},
-        segments=tuple(segs),
-        banks_used=banks_used,
-    )
+    return MapPlan(config=config, pattern="type1", segments=tuple(segs))
 
 
 def plan_type2(config: ArrayConfig, n: int) -> MapPlan:
@@ -155,15 +146,9 @@ def plan_type2(config: ArrayConfig, n: int) -> MapPlan:
     chunk = config.words_per_bank
     if n > config.banks * chunk:
         raise PlanError(f"type2 capacity is {config.banks * chunk} words, asked for {n}")
-    segs, banks_used = _chunked("A", n, chunk, lambda b: b * chunk)
-    return MapPlan(
-        config=config,
-        pattern="type2",
-        total={"A": n},
-        segments=tuple(segs),
-        spare_fill_banks=banks_used,
-        banks_used=banks_used,
-    )
+    segs = _chunked("A", n, chunk, lambda b: b * chunk)
+    return MapPlan(config=config, pattern="type2", segments=tuple(segs),
+                   spare_fill_banks=len(segs))
 
 
 def plan_type3(config: ArrayConfig, n_text: int, m_pattern: int) -> MapPlan:
@@ -177,14 +162,6 @@ def plan_type3(config: ArrayConfig, n_text: int, m_pattern: int) -> MapPlan:
     if n_text > config.banks * chunk:
         raise PlanError(f"type3 capacity is {config.banks * chunk} words, asked for {n_text}")
     base_off = m_pattern * config.words_per_row
-    segs, banks_used = _chunked(
-        "T", n_text, chunk, lambda b: b * config.words_per_bank + base_off
-    )
-    return MapPlan(
-        config=config,
-        pattern="type3",
-        total={"T": n_text, "P": m_pattern},
-        segments=tuple(segs),
-        replicated_rows=m_pattern,
-        banks_used=banks_used,
-    )
+    segs = _chunked("T", n_text, chunk, lambda b: b * config.words_per_bank + base_off)
+    return MapPlan(config=config, pattern="type3", segments=tuple(segs),
+                   replicated_rows=m_pattern)

@@ -12,10 +12,17 @@ legality of the operand pair (same bank, same word group, different rows)
 on every execution.
 
 State safety: the loaded registers stop being written, so rX (and rY) must
-be dead on every path leaving the window, shown by a DFS over the CFG; the
-check is skipped for a register the window's own destination overwrites.
-Only offset-0 loads qualify, since the in-array instructions take bare
-register addresses.
+be dead on every path leaving the window; the check is skipped for a
+register the window's own destination overwrites.  Only offset-0 loads
+qualify, since the in-array instructions take bare register addresses.
+
+Every CFG question below is one walk, ``_reach``: the instructions
+reachable from some starts, where a stop predicate ends the walk at an
+instruction after entering it.  Liveness walks from the window's exit,
+stopping at the register's first read or write on each path, and fails if
+it stopped at a read.  An init dominates the window if the window is
+unreachable from entry once the walk stops at the init, and it never runs
+after the window if the plain walk from the window's exit misses it.
 
 Alignment safety, two proof strategies:
 
@@ -104,12 +111,25 @@ def addresses_aligned(config: ArrayConfig, addr_a: int, addr_b: int) -> bool:
     return True
 
 
-def _successors(prog: Program, labels: dict[str, int], i: int) -> list[int]:
-    ins = prog.instructions[i]
-    nxt = [i + 1] if ins.op not in _NO_FALLTHROUGH and i + 1 < len(prog.instructions) else []
-    if ins.op in _LABEL_OPS:
-        nxt.append(labels[ins.args[-1]])
-    return nxt
+def _reach(prog, labels, starts, stop=None) -> set[int]:
+    """Instructions reachable from starts; the walk enters an i with
+    stop(i) but goes no further from it.  Indices past the end are dropped."""
+    code = prog.instructions
+    seen: set[int] = set()
+    stack = list(starts)
+    while stack:
+        i = stack.pop()
+        if i in seen or i >= len(code):
+            continue
+        seen.add(i)
+        if stop is not None and stop(i):
+            continue
+        ins = code[i]
+        if ins.op not in _NO_FALLTHROUGH:
+            stack.append(i + 1)
+        if ins.op in _LABEL_OPS:
+            stack.append(labels[ins.args[-1]])
+    return seen
 
 
 def _may_read_before_write(prog, labels, starts, reg) -> bool:
@@ -117,49 +137,16 @@ def _may_read_before_write(prog, labels, starts, reg) -> bool:
     r0 is constant and never considered live."""
     if reg == 0:
         return False
-    seen: set[int] = set()
-    stack = list(starts)
-    while stack:
-        i = stack.pop()
-        if i in seen or i >= len(prog.instructions):
-            continue
-        seen.add(i)
-        reads, writes = _uses(prog.instructions[i])
-        if reg in reads:
-            return True
-        if reg in writes:
-            continue
-        stack.extend(_successors(prog, labels, i))
-    return False
+    code, reads = prog.instructions, []
 
+    def stop(i):  # the walk ends at the first read or write on each path
+        r, w = _uses(code[i])
+        if reg in r:
+            reads.append(i)
+        return reg in r or reg in w
 
-def _reachable_from(prog, labels, starts) -> set[int]:
-    seen: set[int] = set()
-    stack = list(starts)
-    while stack:
-        i = stack.pop()
-        if i in seen or i >= len(prog.instructions):
-            continue
-        seen.add(i)
-        stack.extend(_successors(prog, labels, i))
-    return seen
-
-
-def _reaches_avoiding(prog, labels, src: int, avoid: int, dst: int) -> bool:
-    """Can execution get from src to dst without passing through avoid?"""
-    if src == dst:
-        return True
-    seen = {avoid}
-    stack = [src]
-    while stack:
-        i = stack.pop()
-        if i in seen or i >= len(prog.instructions):
-            continue
-        if i == dst:
-            return True
-        seen.add(i)
-        stack.extend(_successors(prog, labels, i))
-    return False
+    _reach(prog, labels, starts, stop)
+    return bool(reads)
 
 
 def _cfg_facts(prog: Program) -> tuple[dict[str, int], set[int]]:
@@ -249,11 +236,11 @@ def _prove_alignment(prog, labels, targets, writers, plan, known,
     if stride_a != stride_b:
         return None
     # Init must run before the window on every path and never after it.
-    post = _reachable_from(prog, labels, [win_end])
+    post = _reach(prog, labels, [win_end])
     for init_idx in (init_a, init_b):
         if init_idx in post:
             return None
-        if _reaches_avoiding(prog, labels, 0, init_idx, win_start):
+        if win_start in _reach(prog, labels, [0], lambda i: i == init_idx):
             return None
     # Both steps inside the window's block, after the window.
     bend = _block_end(prog, targets, win_start)
@@ -299,9 +286,8 @@ def _try_cim_window(prog, labels, targets, writers, plan, known, i):
         bases = (rb, ra)
     else:
         return None
-    after = [i + 3] if i + 3 < len(prog.instructions) else []
     for loaded in (rx, ry):
-        if loaded != rz and _may_read_before_write(prog, labels, after, loaded):
+        if loaded != rz and _may_read_before_write(prog, labels, [i + 3], loaded):
             return None
     proof = _prove_alignment(prog, labels, targets, writers, plan, known,
                              i, i + 3, ra, rb)
@@ -324,8 +310,7 @@ def _try_not_window(prog, labels, i):
     rz, src = ins1.args
     if src != rx:
         return None
-    after = [i + 2] if i + 2 < len(prog.instructions) else []
-    if rx != rz and _may_read_before_write(prog, labels, after, rx):
+    if rx != rz and _may_read_before_write(prog, labels, [i + 2], rx):
         return None
     new_ins = Instruction("CIMNOT", (rz, ra), ins0.labels, ins0.line)
     return new_ins, 2, Rewrite(i, "CIMNOT", ins0.line, "liveness")

@@ -113,12 +113,27 @@ def test_bench_sweep_csv(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["run", "--n", "4"], "strmatch needs n >= 5, got 4"),
     (["run", "--mode", "cim", "--n", "1"], "strmatch needs n >= 5, got 1"),
-    (["sweep", "--mode", "cim", "--n", "8"], "strmatch needs n >= 5, got 4"),
+    (["sweep", "--mode", "cim", "--n", "8"],
+     "the half-size run (n=4) failed: strmatch needs n >= 5, got 4"),
     (["run", "--mode", "base", "--n", "3000"],
      "strmatch/base needs n <= 2048 (the pattern copy), got 3000"),
 ])
 def test_strmatch_size_limits_fail_cleanly(argv, message, capsys):
     assert main(["bench", *argv, "--kernel", "strmatch"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bench failed: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kernel", "strmatch", "--mode", "cim", "--n", "5"],
+     "the half-size run (n=2) failed: strmatch needs n >= 5, got 2"),
+    (["--kernel", "vecsum", "--mode", "vec8", "--n", "8"],
+     "the half-size run (n=4) failed: n must be a lane multiple"),
+    (["--n", "1"], "the half-size run (n=0) failed: n must be positive"),
+])
+def test_bench_sweep_names_a_failing_half_size_run(argv, message, capsys):
+    assert main(["bench", "sweep", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"bench failed: {message}\n"

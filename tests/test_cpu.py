@@ -402,6 +402,14 @@ def test_step_limit_message():
     assert cpu.executed == 100
 
 
+def test_max_steps_bounds_each_call():
+    cpu = Cpu(CimArray(), parse_program("spin: JMP spin\nHALT\n"))
+    for _ in range(2):
+        with pytest.raises(CpuFault, match="^exceeded 5 steps without HALT$"):
+            cpu.run(max_steps=5)
+    assert cpu.executed == 10
+
+
 def test_decode_checks_labels_and_defers_unknown_ops():
     with pytest.raises(AsmError, match="unknown label 'nowhere'"):
         Cpu(CimArray(), Program([Instruction("JMP", ("nowhere",), (), 4)]))

@@ -280,6 +280,37 @@ def test_step_outside_window_block_rejected():
     assert rep.rewrites == ()
 
 
+_SKIPPED_INIT_SRC = """
+    ADDI r3, r0, 16
+    BEQ r3, r0, skip
+    ADDI r1, r0, 0
+skip:
+    ADDI r2, r0, 1024
+loop:
+    LDW r5, 0(r1)
+    LDW r6, 0(r2)
+    XOR r7, r5, r6
+    STW r7, 0(r1)
+    ADDI r1, r1, 1
+    ADDI r2, r2, 1
+    ADDI r3, r3, -1
+    BNE r3, r0, loop
+    HALT
+"""
+
+
+def test_init_that_a_branch_can_skip_is_rejected():
+    # The branch can jump past r1's init, so the init does not dominate the
+    # window and r1's value there is not known to start at 0.
+    plan = plan_type1(CFG, 1024)
+    assert transform(parse_program(_SKIPPED_INIT_SRC), plan).rewrites == ()
+    # With the init ahead of the branch the same loop is rewritten.
+    hoisted = _SKIPPED_INIT_SRC.replace("    ADDI r1, r0, 0\n", "").replace(
+        "    BEQ", "    ADDI r1, r0, 0\n    BEQ")
+    rep = transform(parse_program(hoisted), plan)
+    assert [(r.kind, r.proof) for r in rep.rewrites] == [("CIMXOR", "induction k=0..1023")]
+
+
 def test_scalar_alias_loop_via_lui_induction():
     # Type2 shape: operand B walks the spare alias window via a LUI init.
     plan = plan_type2(CFG, 16)
@@ -376,7 +407,7 @@ def test_verify_equivalence_accepts_and_rejects():
 
 @pytest.mark.parametrize("base, length", [(CFG.total_words - 4, 8), (-1, 2), (SPARE_ALIAS, 1)])
 def test_verify_equivalence_rejects_segment_outside_data_words(base, length):
-    plan = MapPlan(CFG, "type1", {"A": length}, (PlanSegment("A", 0, base, length),))
+    plan = MapPlan(CFG, "type1", (PlanSegment("A", 0, base, length),))
     prog = parse_program("HALT")
     with pytest.raises(ValueError):
         verify_equivalence(prog, prog, plan)
