@@ -183,6 +183,8 @@ def _setup_xorcipher(plan, mode, n, seed):
 
 def _blit_plan(config: ArrayConfig, n: int) -> MapPlan:
     """Three stacked arrays in one bank: sprite, mask, destination."""
+    if n < 1:
+        raise PlanError("n must be positive")
     if 3 * n > config.words_per_bank:
         raise BenchError("blit arrays must fit one bank")
     if n % config.words_per_row:

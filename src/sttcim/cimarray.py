@@ -254,11 +254,15 @@ _BLOCK_CAP = 32
 _BLOCK_BYTES = 1 << 17
 
 
+# Column entities per access in the stream layout; equal to SPARE_ALIAS only by chance.
+_ACCESS_STRIDE = 1 << 20
+
+
 def _entities(first: int, count: int, n: int) -> np.ndarray:
     """(count, n) stream entities of accesses first .. first + count - 1 at
-    n columns: access * 2^20 + column."""
+    n columns: access * _ACCESS_STRIDE + column."""
     accesses = np.arange(first, first + count, dtype=np.uint64)
-    return (accesses * np.uint64(SPARE_ALIAS))[:, None] + np.arange(n, dtype=np.uint64)
+    return (accesses * np.uint64(_ACCESS_STRIDE))[:, None] + np.arange(n, dtype=np.uint64)
 
 
 class _BlockSampler:
@@ -360,7 +364,7 @@ class DeviceColumnSampler(_BlockSampler):
     _DRAWS = len(SENSED_SLOTS) * _DRAWS_PER_CELL  # normals and hash scratch: 144 B
 
     def _fill(self, first, count, n):
-        # Entity access * SPARE_ALIAS + column owns cells entity * 8 + slot;
+        # Entity access * _ACCESS_STRIDE + column owns cells entity * 8 + slot;
         # row k holds sensed slot k of every (access, column).
         entities = _entities(first, count, n)
         cells = (entities * np.uint64(CELLS_PER_SAMPLE)

@@ -9,6 +9,12 @@ Subcommands:
     xform           rewrite an assembly file against a placement plan
     bench run       execute benchmark kernels and report cycles/energy
     bench sweep     marginal speedup across memory latencies
+
+A command that fails on its input prints one stderr line, ``<command>
+failed: <reason>``, and nothing on stdout.  The command is named as in
+the table above, except that both bench subcommands print ``bench``.  The
+exit code is 1 for ``bench`` and ``array selftest`` and 2 for the others.
+An ``--out`` file that cannot be written exits 2 after stdout is printed.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .bench import (
 from .cimarray import ArrayConfig, SelftestError, selftest
 from .cpu import AsmError, format_program, parse_program
 from .device import (
-    ConfigError,
     DeviceParams,
     VariationSpec,
     failure_report_csv,
@@ -35,7 +40,7 @@ from .device import (
     monte_carlo_failures,
 )
 from .ecc import DecodeStatus, make_code
-from .mapper import PlanError, plan_type1, plan_type2, plan_type3
+from .mapper import plan_type1, plan_type2, plan_type3
 from .xform import transform
 
 __all__ = ["main"]
@@ -80,6 +85,11 @@ def _latency_list(text: str) -> list[int]:
     return values
 
 
+def _command(args) -> str:
+    """The command line's command and subcommand: ``device mc``, ``xform``."""
+    return " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+
+
 def _write_out(args, text: str) -> int:
     """Print text and copy it to --out if given; the exit code, 2 if the
     copy cannot be written."""
@@ -89,29 +99,19 @@ def _write_out(args, text: str) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
-            command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
-            print(f"{command} failed: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            print(f"{_command(args)} failed: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
             return 2
     return 0
 
 
 def _cmd_device_mc(args) -> int:
-    try:
-        if args.config:
-            params, variation = load_device_config(args.config)
-        else:
-            params, variation = DeviceParams(), VariationSpec()
-        rep = monte_carlo_failures(params, variation.scaled(args.scale), args.samples, args.seed)
-    except OSError as exc:
-        message = f"cannot read {args.config}: {exc.strerror}"
-    except UnicodeDecodeError as exc:
-        message = f"{args.config}: {exc}"
-    except ConfigError as exc:
-        message = str(exc)
+    if args.config:
+        params, variation = load_device_config(args.config)
     else:
-        return _write_out(args, failure_report_csv(rep))
-    print(f"device mc failed: {message}", file=sys.stderr)
-    return 2
+        params, variation = DeviceParams(), VariationSpec()
+    rep = monte_carlo_failures(params, variation.scaled(args.scale), args.samples, args.seed)
+    return _write_out(args, failure_report_csv(rep))
 
 
 def _corrupt(word: int, n: int, weight: int, rng: random.Random) -> tuple[int, tuple[int, ...]]:
@@ -122,17 +122,12 @@ def _corrupt(word: int, n: int, weight: int, rng: random.Random) -> tuple[int, t
 
 
 def _cmd_ecc_prove(args) -> int:
-    try:
-        code = make_code(args.code, args.data_bits)
-    except ValueError as exc:
-        print(f"ecc prove failed: {exc}", file=sys.stderr)
-        return 2
-    t = 3 if args.code == "ec3ed4" else 1
+    code = make_code(args.code, args.data_bits)
     rng = random.Random(args.seed)
     failures = 0
     lines = []
-    for weight in range(1, t + 2):
-        want_detect = weight == t + 1
+    for weight in range(1, code.t + 2):
+        want_detect = weight == code.t + 1
         ok = 0
         for _ in range(args.trials):
             data = rng.getrandbits(args.data_bits)
@@ -157,11 +152,7 @@ def _cmd_ecc_prove(args) -> int:
 
 
 def _cmd_array_selftest(args) -> int:
-    try:
-        selftest(ArrayConfig(code=args.code), seed=args.seed, words=args.words)
-    except SelftestError as exc:
-        print(f"array selftest failed: {exc}", file=sys.stderr)
-        return 1
+    selftest(ArrayConfig(code=args.code), seed=args.seed, words=args.words)
     return _write_out(args, f"selftest ok: {args.words} random op words on code={args.code}\n")
 
 
@@ -175,12 +166,7 @@ def _make_plan(args):
 
 
 def _cmd_map_plan(args) -> int:
-    try:
-        plan = _make_plan(args)
-    except PlanError as exc:
-        print(f"map plan failed: {exc}", file=sys.stderr)
-        return 2
-    return _write_out(args, plan.text())
+    return _write_out(args, _make_plan(args).text())
 
 
 def _cmd_xform(args) -> int:
@@ -188,17 +174,10 @@ def _cmd_xform(args) -> int:
         with open(args.asm, encoding="utf-8") as fh:
             prog = parse_program(fh.read())
     except OSError as exc:
-        print(f"xform failed: cannot read {args.asm}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read {args.asm}: {exc.strerror}") from exc
     except (UnicodeDecodeError, AsmError) as exc:
-        print(f"xform failed: {args.asm}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        plan = _make_plan(args)
-    except PlanError as exc:
-        print(f"xform failed: {exc}", file=sys.stderr)
-        return 2
-    report = transform(prog, plan)
+        raise ValueError(f"{args.asm}: {exc}") from exc
+    report = transform(prog, _make_plan(args))
     for rw in report.rewrites:
         print(f"# rewrite @{rw.index}: {rw.kind} ({rw.proof})")
     print(f"# instructions {report.instructions_before} -> {report.instructions_after}")
@@ -206,26 +185,14 @@ def _cmd_xform(args) -> int:
 
 
 def _cmd_bench_run(args) -> int:
-    kernels = [args.kernel] if args.kernel else list(KERNEL_MODES)
-    lines = []
-    try:
-        for kernel in kernels:
-            modes = [args.mode] if args.mode else KERNEL_MODES[kernel]
-            for mode in modes:
-                run = run_kernel(kernel, mode, args.n, args.latency, args.seed)
-                lines.append(format_run(run))
-    except (BenchError, PlanError) as exc:
-        print(f"bench failed: {exc}", file=sys.stderr)
-        return 1
+    lines = [format_run(run_kernel(kernel, mode, args.n, args.latency, args.seed))
+             for kernel in ([args.kernel] if args.kernel else KERNEL_MODES)
+             for mode in ([args.mode] if args.mode else KERNEL_MODES[kernel])]
     return _write_out(args, "\n".join(lines) + "\n")
 
 
 def _cmd_bench_sweep(args) -> int:
-    try:
-        points = latency_sweep(args.kernel, args.mode, args.latencies, args.n, args.seed)
-    except (BenchError, PlanError) as exc:
-        print(f"bench failed: {exc}", file=sys.stderr)
-        return 1
+    points = latency_sweep(args.kernel, args.mode, args.latencies, args.n, args.seed)
     text = "latency,speedup\n" + "".join(f"{lat},{s:.6f}\n" for lat, s in points)
     return _write_out(args, text)
 
@@ -310,7 +277,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, BenchError, SelftestError) as exc:
+        # ConfigError, PlanError and AsmError are ValueErrors.  OSError is
+        # not caught: a closed stdout is not an input error.
+        name = "bench" if args.command == "bench" else _command(args)
+        print(f"{name} failed: {exc}", file=sys.stderr)
+        return 1 if name in ("bench", "array selftest") else 2
 
 
 if __name__ == "__main__":

@@ -507,35 +507,44 @@ def load_device_config(path) -> tuple[DeviceParams, VariationSpec]:
     Unspecified keys keep their defaults.  mtj_side_nm is the square-junction
     edge length and is mutually exclusive with mtj_area_um2.  Every value
     must be a finite number, and the nominal current levels must pass
-    ``current_levels``; ConfigError otherwise, naming the file.
+    ``current_levels``; ConfigError otherwise, naming the file.  A file
+    that cannot be read or decoded as UTF-8 is a ConfigError too.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _DEVICE_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                number = float(val.strip())
-            except ValueError:
-                number = math.nan
-            if not math.isfinite(number):
-                raise ConfigError(f"{path}:{lineno}: bad number for {key!r}")
-            values[key] = number
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in _DEVICE_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            number = float(val.strip())
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}:{lineno}: bad number for {key!r}")
+        values[key] = number
 
     params = _fields(_PARAM_KEYS, values)
     side_nm = values.get("mtj_side_nm")
     if side_nm is not None:
         if "mtj_area" in params:
             raise ConfigError(f"{path}: give mtj_side_nm or mtj_area_um2, not both")
+        if side_nm <= 0:
+            raise ConfigError(f"{path}: mtj_side_nm must be positive")
         side_um = side_nm * 1e-3
         params["mtj_area"] = side_um * side_um
     try:

@@ -116,7 +116,7 @@ class _SyndromeCode:
     check_positions, provides ``extract`` (the data bits of a word) and
     passes each data bit's codeword to _build_maps."""
 
-    _T = 1
+    t = 1  # the number of bit errors a decode corrects
 
     def _build_maps(self, data_codewords) -> None:
         self._encode = encode = _linear_map(data_codewords)
@@ -161,7 +161,7 @@ class _SyndromeCode:
         """Sorted positions of the unique pattern of weight <= t with this
         syndrome, or None."""
         hit = self._singles.get(syndrome)
-        if hit is not None or self._T < 2:
+        if hit is not None or self.t < 2:
             return hit
         pairs = self._pairs
         if pairs is None:
@@ -170,7 +170,7 @@ class _SyndromeCode:
                 cols[i] ^ cols[j]: (i, j) for i, j in combinations(range(self.n), 2)
             }
         hit = pairs.get(syndrome)
-        if hit is not None or self._T < 3:
+        if hit is not None or self.t < 3:
             return hit
         # A weight-3 pattern is one column plus a pair; singles were checked
         # first, so the pair found never contains that column.  The scan
@@ -242,7 +242,7 @@ class Ec3Ed4(_SyndromeCode):
     parity-extended code has distance 8.
     """
 
-    _T = 3
+    t = 3
     _CHECK_BITS = 18
     _MAX_DATA = 45
 

@@ -10,6 +10,7 @@ from sttcim.bench import (
     run_kernel,
     transform_pair,
 )
+from sttcim.mapper import PlanError
 
 
 def test_every_mode_matches_its_reference():
@@ -92,6 +93,13 @@ def test_blit_masked_merge():
     assert base.result == cim.result
     # two passes of n=512 behave like one pass of 1024
     assert base.cycles - cim.cycles == 1024 * 3
+
+
+@pytest.mark.parametrize("mode", ["base", "cim"])
+@pytest.mark.parametrize("n", [0, -16])
+def test_blit_rejects_a_non_positive_size(mode, n):
+    with pytest.raises(PlanError, match="^n must be positive$"):
+        run_kernel("blit", mode, n=n)
 
 
 def test_editdist_counts():

@@ -239,6 +239,8 @@ def test_device_mc_bad_input_fails_cleanly(tmp_path, capsys):
     negative_sigma.write_text("tox_sigma_pct = -1\n")
     both_sizes = tmp_path / "both_sizes.cfg"
     both_sizes.write_text("mtj_side_nm = 40\nmtj_area_um2 = 0.0016\n")
+    negative_side = tmp_path / "negative_side.cfg"
+    negative_side.write_text("mtj_side_nm = -40\n")
     nan_tmr = tmp_path / "nan_tmr.cfg"
     nan_tmr.write_text("ra_product_ohm_um2 = 18\ntmr_pct = nan\n")
     inf_voltage = tmp_path / "inf_voltage.cfg"
@@ -254,6 +256,7 @@ def test_device_mc_bad_input_fails_cleanly(tmp_path, capsys):
         (["--config", str(negative_tmr)], f"{negative_tmr}: tmr must be positive"),
         (["--config", str(negative_sigma)], f"{negative_sigma}: sigmas must be non-negative"),
         (["--config", str(both_sizes)], f"{both_sizes}: give mtj_side_nm or mtj_area_um2"),
+        (["--config", str(negative_side)], f"{negative_side}: mtj_side_nm must be positive"),
         (["--config", str(nan_tmr)], f"{nan_tmr}:2: bad number for 'tmr_pct'"),
         (["--config", str(inf_voltage)], f"{inf_voltage}:1: bad number for 'read_voltage_v'"),
         (["--config", str(low_ref)],

@@ -438,3 +438,13 @@ def test_load_device_config_rejects_unknown_and_duplicate(tmp_path):
     both.write_text("mtj_side_nm = 40\nmtj_area_um2 = 0.0016\n")
     with pytest.raises(ConfigError):
         load_device_config(both)
+
+
+def test_load_device_config_read_errors_are_config_errors(tmp_path):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(ConfigError, match=f"^cannot read {missing}: No such file"):
+        load_device_config(missing)
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"tmr_pct = \xff\n")
+    with pytest.raises(ConfigError, match="'utf-8' codec can't decode"):
+        load_device_config(binary)
