@@ -23,9 +23,9 @@ Baselines are deliberately unhoisted: every operand load sits inside the
 loop, the way a non-optimizing compiler would emit it.  Measurement covers
 the program run only.  A builder states its inputs (arrays, replicated
 pattern rows, the vector match-count table) as a map from linear address
-to word; run_kernel writes them before the counters reset.  Spare
-row broadcasts (SPWR) are instructions, so they run inside the measured
-region.
+to word; run_kernel loads them as the array's initial image
+(``CimArray.load``), which counts no traffic.  Spare row broadcasts (SPWR)
+are instructions, so they run inside the measured region.
 
 The cim mode of the three transform kernels is the rewriter's output on the
 baseline under the kernel's placement plan (``_PLANNERS``).  run_kernel and
@@ -135,9 +135,18 @@ def _fold(values) -> int:
 # -- kernel builders ---------------------------------------------------------
 
 
-def _placed(plan: MapPlan, name: str, words) -> dict[int, int]:
-    """Address -> word map of the named operand under the plan."""
-    return {plan.address(name, i): w for i, w in enumerate(words)}
+def _placed(plan: MapPlan, name: str, words: list[int]) -> dict[int, int]:
+    """Address -> word map of the named operand under the plan, filling its
+    segments in order; IndexError if they hold fewer words."""
+    placed, i = {}, 0
+    for seg in plan.segments:
+        if seg.name == name and seg.length > 0:
+            chunk = words[i : i + seg.length]
+            placed.update(zip(range(seg.base, seg.end), chunk))
+            i += len(chunk)
+    if i < len(words):
+        raise IndexError(f"{name}[{i}] not placed")
+    return placed
 
 
 def _single_segment(plan: MapPlan, *names: str) -> None:
@@ -571,9 +580,7 @@ def run_kernel(kernel: str, mode: str, n: int | None = None, latency: int = 1,
         setup = _BUILDERS[kernel](plan, mode, size, seed)
         rewrites = 0
     arr = CimArray(plan.config)
-    for addr, word in setup.inputs.items():
-        arr.write_word(addr, word)
-    arr.counters.reset()
+    arr.load(setup.inputs)
     res = Cpu(arr, setup.program, memory_latency=latency).run()
     counters = arr.counters.as_dict()
     energy = account(arr.counters)

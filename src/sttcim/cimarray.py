@@ -32,6 +32,13 @@ controller always decodes the XOR lane of a two-row access.
   3 accesses total.
 * DETECTED_UNCORRECTABLE: raise ``HardError``.
 
+Every stored word is a codeword: the store starts zeroed, and every write
+and ``load`` goes through ``encode``.  So a read that senses the stored word
+unchanged, or a two-row access whose XOR lane equals the XOR of the two
+stored words, holds a codeword and is CLEAN with data ``extract(word)``;
+only a sensed word that differs reaches the decoder.  The decoder would
+answer the same, at several times the cost.
+
 NOT activates a single row against the read reference with the inverting
 amp; there is no second operand, the XOR sideband is identically zero and
 sensing errors on NOT pass through undetected.  That asymmetry is inherent
@@ -456,6 +463,15 @@ class CimArray:
         self._words[self._resolve(addr)] = self.code.encode(data)
         self.counters.writes += 1
 
+    def load(self, words) -> None:
+        """Store an initial image, a map from address to data word: each
+        word is encoded into its slot, and no traffic is counted."""
+        encode, store, total = self.code.encode, self._words, self._total_words
+        for addr, data in words.items():
+            if type(addr) is not int or not 0 <= addr < total:  # else its own slot
+                addr = self._resolve(addr)
+            store[addr] = encode(data)
+
     def write_spare(self, bank: int, data: int) -> None:
         """Broadcast one word into every group of a bank's spare row."""
         if not 0 <= bank < self.config.banks:
@@ -482,11 +498,14 @@ class CimArray:
         """Sense and decode one stored word.  Near-memory fallback reads
         are their own traffic category."""
         self._access += 1
-        sensed = self.sampler.sense_read(self._access, self._words[slot], self._n)
+        stored = self._words[slot]
+        sensed = self.sampler.sense_read(self._access, stored, self._n)
         if near_memory:
             self.counters.nm_reads += 1
         else:
             self.counters.reads += 1
+        if sensed == stored:  # a codeword: CLEAN (see the module notes)
+            return self.code.extract(stored)
         res = self.code.decode(sensed)
         if res.status is not _CLEAN:
             if res.status is _DETECTED:
@@ -529,10 +548,12 @@ class CimArray:
         a, b, _ = _pair(self.config, addr_a, addr_b)
         self._access += 1
         self.counters.cim_ops += 1
-        o_or, o_and = self.sampler.sense_pair(
-            self._access, self._words[a], self._words[b], self._n
-        )
-        res = self.code.decode(o_or & ~o_and)
+        wa, wb = self._words[a], self._words[b]
+        o_or, o_and = self.sampler.sense_pair(self._access, wa, wb, self._n)
+        lane = o_or & ~o_and
+        if lane == wa ^ wb:  # a codeword: CLEAN (see the module notes)
+            return self._op_output(op, o_or, o_and, self.code.extract(lane)), 1
+        res = self.code.decode(lane)
         if res.status is _CLEAN:
             return self._op_output(op, o_or, o_and, res.data), 1
         if res.status is _CORRECTED:

@@ -65,8 +65,10 @@ window; the scan then restarts at entry.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .cimarray import SPARE_ALIAS, ArrayConfig, CimArray, _pair
 from .cpu import _ALU_FNS, _LABEL_OPS, Cpu, CpuFault, Instruction, Program, _uses
@@ -212,9 +214,18 @@ def _induction(prog: Program, writers: Counter, reg: int):
     return init[1], step[1], init[0], step[0]
 
 
-def _in_plan(plan: MapPlan, linear: int) -> bool:
-    base = linear - SPARE_ALIAS if linear >= SPARE_ALIAS else linear
-    return any(seg.base <= base < seg.end for seg in plan.segments)
+def _placed_spans(plan: MapPlan) -> tuple[list[int], list[int]]:
+    """(starts, ends) of the disjoint, sorted address ranges the plan's
+    segments cover together."""
+    starts: list[int] = []
+    ends: list[int] = []
+    for base, end in sorted((s.base, s.end) for s in plan.segments if s.length > 0):
+        if ends and base <= ends[-1]:
+            ends[-1] = max(ends[-1], end)
+        else:
+            starts.append(base)
+            ends.append(end)
+    return starts, ends
 
 
 def _prove_alignment(prog, labels, targets, writers, plan, known,
@@ -249,15 +260,24 @@ def _prove_alignment(prog, labels, targets, writers, plan, known,
             return None
     stride = stride_a
     limit = 2 * cfg.total_words // max(1, abs(stride)) + 4
+    starts, ends = _placed_spans(plan)
+
+    def placed(linear):  # the word, or an alias's base word, lies in a segment
+        base = linear - SPARE_ALIAS if linear >= SPARE_ALIAS else linear
+        i = bisect_right(starts, base) - 1
+        return i >= 0 and base < ends[i]
+
     checked = 0
-    for k in range(limit + 1):
-        la = base_a + k * stride
-        lb = base_b + k * stride
-        if not (_in_plan(plan, la) and _in_plan(plan, lb)):
-            break
-        if not addresses_aligned(cfg, la, lb):
-            return None
-        checked += 1
+    try:
+        for k in range(limit + 1):
+            la = base_a + k * stride
+            lb = base_b + k * stride
+            if not (placed(la) and placed(lb)):
+                break
+            _pair(cfg, la, lb)
+            checked += 1
+    except ValueError:  # a pair that breaks the two-row rule ends the proof
+        return None
     if checked == 0:
         return None
     return f"induction k=0..{checked - 1}"
@@ -369,15 +389,16 @@ def verify_equivalence(original: Program, transformed: Program, plan: MapPlan,
     segment outside the data words raises ValueError.
     """
     config = plan.config
-    seeded = CimArray(config)
     rng = random.Random(seed)
-    encode, width = seeded.code.encode, config.word_width
+    image: dict[int, int] = {}
     for seg in plan.segments:
         if seg.length > 0 and (seg.base < 0 or seg.end > config.total_words):
             raise ValueError(f"segment {seg.name}/{seg.seg} at {seg.base}+{seg.length} "
                              "runs outside the data words")
-        seeded._words[seg.base : seg.end] = [encode(rng.getrandbits(width))
-                                            for _ in range(seg.length)]
+        image.update(zip(range(seg.base, seg.end),
+                         map(rng.getrandbits, repeat(config.word_width, seg.length))))
+    seeded = CimArray(config)
+    seeded.load(image)
     images = []
     for prog in (original, transformed):
         arr = CimArray(config)

@@ -3,6 +3,7 @@ spare-row alias, vector ops, and the error flow under injected noise."""
 
 import hashlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,14 @@ from sttcim.cimarray import (
     IdealSampler,
     InjectedColumnNoise,
     SPARE_ALIAS,
+    _TWO_ROW_OPS,
     _BlockSampler,
+    _pair,
     selftest,
 )
 from sttcim.cpu import Cpu, CpuFault, parse_program
 from sttcim.device import IDEAL_DECISIONS, ConfigError, DeviceParams, VariationSpec, cell_factors
+from sttcim.ecc import DecodeStatus
 from sttcim.streams import uniforms
 from sttcim.xform import addresses_aligned
 
@@ -684,6 +688,9 @@ class _StoreModel:
         if name == "write_word":
             words[self.coords(args[0])] = args[1]
             c.writes += 1
+        elif name == "load":
+            for addr, data in args[0].items():
+                words[self.coords(addr)] = data
         elif name == "write_spare":
             if not 0 <= args[0] < cfg.banks:
                 raise ValueError("bank")
@@ -782,11 +789,13 @@ def _as_int(addr):
 
 @st.composite
 def _store_calls(draw):
-    kind = draw(st.sampled_from(("write_word", "write_word", "write_spare", "write_replicated",
-                                 "read_word", "cim_not", "cim_word", "cim_word", "vcim",
-                                 "addresses_aligned")))
+    kind = draw(st.sampled_from(("write_word", "write_word", "load", "write_spare",
+                                 "write_replicated", "read_word", "cim_not", "cim_word",
+                                 "cim_word", "vcim", "addresses_aligned")))
     if kind == "write_word":
         return kind, draw(_ANY_ADDR), draw(_DATA)
+    if kind == "load":
+        return kind, draw(st.dictionaries(_ANY_ADDR, _DATA, max_size=4))
     if kind == "write_spare":
         return kind, draw(st.integers(-1, _SMALL.banks)), draw(_DATA)
     if kind == "write_replicated":
@@ -830,6 +839,106 @@ def test_store_matches_coordinate_model(calls):
             for group in range(_SMALL.words_per_row):
                 want = model.words.get((bank, row, group), 0) ^ _MASK8
                 assert arr.cim_not(Addr(bank, row, group)) == (want, 1)
+
+
+class _AlwaysDecodes(CimArray):
+    """The sensing paths with every sensed word sent through the decoder,
+    as they were before equal words skipped it."""
+
+    def _read(self, slot, near_memory=False):
+        self._access += 1
+        sensed = self.sampler.sense_read(self._access, self._words[slot], self._n)
+        if near_memory:
+            self.counters.nm_reads += 1
+        else:
+            self.counters.reads += 1
+        res = self.code.decode(sensed)
+        if res.status is DecodeStatus.DETECTED_UNCORRECTABLE:
+            raise HardError("uncorrectable word on read")
+        if res.status is DecodeStatus.CORRECTED:
+            self.counters.corrected_words += 1
+        return res.data
+
+    def cim_word(self, op, addr_a, addr_b):
+        if op not in _TWO_ROW_OPS:
+            raise ValueError(f"{op!r} is not a two-row op")
+        a, b, _ = _pair(self.config, addr_a, addr_b)
+        self._access += 1
+        self.counters.cim_ops += 1
+        o_or, o_and = self.sampler.sense_pair(self._access, self._words[a], self._words[b],
+                                              self._n)
+        res = self.code.decode(o_or & ~o_and)
+        if res.status is DecodeStatus.CLEAN:
+            return self._op_output(op, o_or, o_and, res.data), 1
+        if res.status is DecodeStatus.CORRECTED:
+            self.counters.corrected_words += 1
+            if op is CimOp.XOR:
+                self.counters.xor_fixups += 1
+                return res.data, 1
+            self.counters.fallbacks += 1
+            da = self._read(a, near_memory=True)
+            db = self._read(b, near_memory=True)
+            return self._alu(op, da, db), 3
+        raise HardError("uncorrectable XOR lane on CiM access")
+
+
+def _noisy_outcome(arr, call):
+    try:
+        return "ok", getattr(arr, call[0])(*call[1:])
+    except (ValueError, HardError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_WORD = st.integers(0, _SMALL.total_words - 1)
+
+
+@st.composite
+def _noisy_calls(draw):
+    """Mostly sensing accesses on valid, aligned operands, and every kind of
+    write."""
+    kind = draw(st.sampled_from(("read_word", "cim_not", "cim_word", "cim_word", "cim_word",
+                                 "write_word", "load", "write_spare", "write_replicated")))
+    if kind == "read_word":
+        return kind, draw(_WORD)
+    if kind == "cim_not":
+        return kind, draw(st.one_of(_WORD, _WORD.map(lambda k: k + SPARE_ALIAS)))
+    if kind == "cim_word":
+        bank = draw(st.integers(0, _SMALL.banks - 1))
+        group = draw(st.integers(0, _SMALL.words_per_row - 1))
+        rows = draw(st.permutations(range(_SMALL.rows_per_bank)))
+        return (kind, draw(st.sampled_from(_TWO_ROW_OPS)), draw(_spelled(bank, rows[0], group)),
+                draw(_spelled(bank, rows[1], group)))
+    if kind == "write_word":
+        return kind, draw(_WORD), draw(_DATA)
+    if kind == "load":
+        return kind, draw(st.dictionaries(_WORD, _DATA, max_size=4))
+    if kind == "write_spare":
+        return kind, draw(st.integers(0, _SMALL.banks - 1)), draw(_DATA)
+    return (kind, draw(st.integers(0, _SMALL.banks - 1)),
+            draw(st.integers(0, _SMALL.data_rows - 1)), draw(_DATA))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(code=st.sampled_from(("ec3ed4", "secded")), p=st.sampled_from((1e-3, 1e-2, 0.3)),
+       seed=st.integers(0, 2**32 - 1),
+       image=st.lists(_DATA, min_size=_SMALL.total_words, max_size=_SMALL.total_words),
+       spare=st.tuples(_DATA, _DATA), calls=st.lists(_noisy_calls(), min_size=20, max_size=40))
+def test_equal_words_skip_the_decoder(code, p, seed, image, spare, calls):
+    # Every write encodes, so every slot holds a codeword and the XOR of two
+    # slots is one too: an access that senses the stored word (or XOR lane)
+    # unchanged is CLEAN without a decode.
+    cfg = replace(_SMALL, code=code)
+    arr = CimArray(cfg, InjectedColumnNoise(p, seed))
+    ref = _AlwaysDecodes(cfg, InjectedColumnNoise(p, seed))
+    for a in (arr, ref):
+        a.load(dict(enumerate(image)))
+        for bank, data in enumerate(spare):
+            a.write_spare(bank, data)
+    for call in calls:
+        assert _noisy_outcome(arr, call) == _noisy_outcome(ref, call), call
+        assert arr.counters == ref.counters, call
+    assert arr._words == ref._words
+    assert all(arr.code.decode(w).status is DecodeStatus.CLEAN for w in arr._words)
 
 
 @pytest.mark.parametrize("addr", [Addr(-1, 0, 0), Addr(0, 0, -1), Addr(0, -1, 0)])

@@ -10,7 +10,8 @@ from sttcim.bench import (
     run_kernel,
     transform_pair,
 )
-from sttcim.mapper import PlanError
+from sttcim.cimarray import ArrayConfig
+from sttcim.mapper import PlanError, plan_type1, plan_type2, plan_type3
 
 
 def test_every_mode_matches_its_reference():
@@ -277,3 +278,19 @@ def test_one_plan_per_kernel_run(kernel, mode, monkeypatch):
                 monkeypatch.setitem(bench._PLANNERS, k, getattr(bench, name))
     run_kernel(kernel, mode, n=64)
     assert len(planned) == 1, planned
+
+
+@pytest.mark.parametrize("plan, name", [
+    (plan_type1(ArrayConfig(), 3000), "B"),  # one segment per bank
+    (plan_type2(ArrayConfig(), 3000), "A"),
+    (plan_type3(ArrayConfig(), 2500, 2), "T"),
+])
+def test_placed_operands_follow_the_plan_addresses(plan, name):
+    count = sum(s.length for s in plan.segments if s.name == name)
+    words = list(range(100, 100 + count))
+    assert bench._placed(plan, name, words) == {
+        plan.address(name, i): w for i, w in enumerate(words)}
+    with pytest.raises(IndexError, match=f"^{name}\\[{count}\\] not placed$"):
+        bench._placed(plan, name, words + [7])
+    with pytest.raises(IndexError, match=f"^{name}\\[{count}\\] not placed$"):
+        plan.address(name, count)

@@ -1,15 +1,17 @@
 """Assembler round trip, scalar semantics, the CiM instruction extension,
-bus invariants and the cycle model."""
+bus invariants, the cycle model, and compiled blocks against the handlers."""
 
 import gc
 import re
 import weakref
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sttcim import cpu as cpu_module, xform
-from sttcim.cimarray import Addr, ArrayConfig, CimArray, SPARE_ALIAS
+from sttcim.cimarray import (Addr, ArrayConfig, CimArray, HardError, InjectedColumnNoise,
+                             SPARE_ALIAS)
 from sttcim.cpu import (
     AsmError,
     Cpu,
@@ -425,11 +427,15 @@ def test_finished_cpu_is_freed_without_the_cycle_collector():
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        cpu = Cpu(CimArray(), parse_program("ADDI r1, r0, 1\nBEQ r0, r0, end\nend: HALT\n"))
-        cpu.run()
-        ref = weakref.ref(cpu)
-        del cpu
-        assert ref() is None
+        # The second program's loop runs as a compiled block.
+        for src in ("ADDI r1, r0, 1\nBEQ r0, r0, end\nend: HALT\n",
+                    "ADDI r1, r0, 4\nloop: STW r1, 0(r1)\nADDI r1, r1, -1\n"
+                    "BNE r1, r0, loop\nHALT\n"):
+            cpu = Cpu(CimArray(), parse_program(src))
+            cpu.run()
+            ref = weakref.ref(cpu)
+            del cpu
+            assert ref() is None
     finally:
         if was_enabled:
             gc.enable()
@@ -444,3 +450,153 @@ def test_writes_to_r0_are_dropped_but_accesses_stay():
     assert cpu.regs[0] == 0
     assert arr.counters.reads == 1 and arr.counters.cim_ops == 1
     assert res.cycles == 6 + 3 * 2
+
+
+# -- compiled blocks against the handlers ---------------------------------------
+
+# 2 banks x 2 data rows x 8 groups of 32-bit words: 32 data words, so the
+# walking pointer leaves the array within a few iterations.
+_DIFF = ArrayConfig(banks=2, rows_per_bank=3, words_per_row=8)
+_DATA_REGS = (5, 6, 7, 8, 9)
+_NEVER = float("inf")
+
+
+@st.composite
+def _looping_program(draw):
+    """A counted loop over a body that uses every kind of op, plus at most
+    one instruction that faults, at once or after some iterations.  r2 and
+    r3 point at an aligned pair in bank 0 (a vector access crosses the row
+    once they step far enough), r10 at the spare alias of r2's word and r11
+    walks off the end of the array; the body reads r5..r9 and writes those
+    and r0."""
+    reg = st.sampled_from(_DATA_REGS)
+    dest = st.sampled_from((0,) + _DATA_REGS)
+    base = st.sampled_from((2, 3))
+    pair = st.sampled_from(((2, 3), (3, 2), (2, 10), (10, 3)))
+    group = draw(st.sampled_from((0, 0, 3)))
+    lanes = st.sampled_from((4, 8) if group == 0 else (4,))
+    lines = [f"ADDI r1, r0, {draw(st.integers(1, 5))}", f"ADDI r2, r0, {group}",
+             f"ADDI r3, r0, {group + 8}", f"LUI r10, {SPARE_ALIAS >> 16}", "ADD r10, r10, r2",
+             f"ADDI r11, r0, {_DIFF.total_words - draw(st.integers(1, 4))}"]
+    lines += [f"ADDI r{r}, r0, {draw(st.integers(-9, 9))}" for r in _DATA_REGS]
+    body = []
+    kinds = ["alu", "not", "addi", "lui", "ldw", "stw", "cim", "cimnot", "vcim", "spwr"]
+    for kind in draw(st.permutations(kinds)) + draw(st.lists(st.sampled_from(kinds),
+                                                              max_size=4)):
+        if kind == "alu":
+            op = draw(st.sampled_from(("ADD", "SUB", "AND", "OR", "XOR", "SLT")))
+            body.append(f"{op} r{draw(dest)}, r{draw(reg)}, r{draw(reg)}")
+        elif kind == "not":
+            body.append(f"NOT r{draw(dest)}, r{draw(reg)}")
+        elif kind == "addi":
+            body.append(f"ADDI r{draw(dest)}, r{draw(reg)}, {draw(st.integers(-3, 3))}")
+        elif kind == "lui":
+            body.append(f"LUI r{draw(dest)}, {draw(st.integers(0, 0xFFFF))}")
+        elif kind == "ldw":
+            body.append(f"LDW r{draw(dest)}, {draw(st.integers(0, 2))}(r{draw(base)})")
+        elif kind == "stw":
+            body.append(f"STW r{draw(reg)}, {draw(st.integers(0, 2))}(r{draw(base)})")
+        elif kind == "cim":
+            op = draw(st.sampled_from(("AND", "OR", "XOR", "NAND", "NOR", "ADD")))
+            pa, pb = draw(pair)
+            body.append(f"CIM{op} r{draw(dest)}, r{pa}, r{pb}")
+        elif kind == "cimnot":
+            body.append(f"CIMNOT r{draw(dest)}, r{draw(st.sampled_from((2, 3, 10)))}")
+        elif kind == "vcim":
+            op = draw(st.sampled_from(("AND", "OR", "XOR", "ADD")))
+            form = f"{op}.{draw(st.sampled_from(('SUM', 'ZCMP')))}.{draw(lanes)}"
+            pa, pb = draw(pair)
+            body.append(f"VCIM.{form} r{draw(dest)}, r{pa}, r{pb}")
+        else:
+            body.append(f"SPWR r{draw(reg)}{draw(st.sampled_from(('', ', 1', ', 3')))}")
+    fault = draw(st.sampled_from((None, None, "LDW r6, 0(r11)", "STW r6, 0(r11)",
+                                  "LDW r5, 0(r10)", "CIMXOR r5, r2, r2", "SPWR r5, 4")))
+    if fault:
+        body.insert(draw(st.integers(0, len(body))), fault)
+    body[0] = "loop: " + body[0]
+    step = draw(st.integers(0, 1))
+    tail = [f"ADDI r2, r2, {step}", f"ADDI r3, r3, {step}", f"ADDI r10, r10, {step}",
+            "ADDI r11, r11, 1", "ADDI r1, r1, -1", "BNE r1, r0, loop", "HALT"]
+    # A forward branch or jump inside the loop, landing in the body or the tail.
+    if draw(st.booleans()):
+        at = draw(st.integers(1, len(body)))
+        body.insert(at, draw(st.sampled_from(("JMP skip", "BEQ r5, r6, skip",
+                                                "BNE r5, r6, skip"))))
+        to = draw(st.integers(at + 1, len(body)))
+        if to < len(body):
+            body[to] = "skip: " + body[to]
+        else:
+            tail[0] = "skip: " + tail[0]
+    return "\n".join(lines + body + tail) + "\n"
+
+
+def _diff_run(prog, hot, noise, cut):
+    """Outcome and state after run(max_steps=cut) and after a resume, with
+    blocks compiling on their hot-th entry."""
+    arr = CimArray(_DIFF, InjectedColumnNoise(*noise) if noise[0] else None)
+    arr.load({i: (i * 0x9E3779B1) & 0xFFFFFFFF for i in range(_DIFF.total_words)})
+    cpu = Cpu(arr, prog, memory_latency=2)
+    runs = []
+    with mock.patch.object(cpu_module, "_COMPILE_AT", hot):
+        for steps in (cut, 500):
+            try:
+                outcome = cpu.run(max_steps=steps)
+            except (CpuFault, HardError) as exc:
+                outcome = type(exc).__name__, str(exc)
+            runs.append((outcome, list(cpu.regs), cpu.pc, cpu.cycles, cpu.executed,
+                         cpu.halted, arr.counters.as_dict(), list(arr._words)))
+    return runs
+
+
+# Under this noise and seed, the LDW of the seventh iteration raises HardError.
+_LATE_HARD_ERROR = """
+    ADDI r1, r0, 7
+    ADDI r2, r0, 0
+    ADDI r3, r0, 8
+loop:
+    LDW r5, 0(r2)
+    CIMXOR r6, r2, r3
+    ADD r7, r5, r6
+    STW r7, 1(r3)
+    ADDI r2, r2, 1
+    ADDI r3, r3, 1
+    ADDI r1, r1, -1
+    BNE r1, r0, loop
+    HALT
+"""
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@example(_LATE_HARD_ERROR, (0.02, 2))
+@given(_looping_program(), st.tuples(st.sampled_from((0, 0.01, 0.02, 0.05)), st.integers(0, 999)))
+def test_compiled_blocks_match_the_handlers(src, noise):
+    prog = parse_program(src)
+    whole = _diff_run(prog, _NEVER, noise, 500)
+    if src == _LATE_HARD_ERROR:
+        assert whole[0][0] == ("HardError", "uncorrectable word on read")
+        assert whole[0][4] == 3 + 6 * 8
+    assert _diff_run(prog, 1, noise, 500) == whole
+    assert _diff_run(prog, 2, noise, 500) == whole
+    # A cut at every step, and so at every offset of every compiled block.
+    for cut in range(1, min(whole[-1][4], 60) + 1):
+        reference = _diff_run(prog, _NEVER, noise, cut)
+        assert _diff_run(prog, 1, noise, cut) == reference, cut
+        assert _diff_run(prog, 2, noise, cut) == reference, cut
+
+
+def test_compiled_block_keeps_the_state_of_any_error():
+    # A hand-built program can name a register the CPU does not have; the
+    # IndexError leaves the same state whichever path ran the instruction.
+    src = ("ADDI r1, r0, 3\nloop: STW r1, 0(r1)\nADDI r1, r1, -1\nADD r2, r1, r1\n"
+           "BNE r1, r0, loop\nHALT\n")
+    ins = parse_program(src).instructions
+    ins[3] = Instruction("ADD", (2, 1, 40), (), 4)
+    prog = Program(ins)
+    states = []
+    for hot in (1, _NEVER):
+        cpu = Cpu(CimArray(), prog)
+        with mock.patch.object(cpu_module, "_COMPILE_AT", hot), pytest.raises(IndexError):
+            cpu.run()
+        states.append((cpu.regs, cpu.pc, cpu.cycles, cpu.executed, cpu.array.counters))
+    assert states[0] == states[1]
+    assert states[0][1:4] == (3, 4, 3)
