@@ -20,6 +20,7 @@ from sttcim import (
     InjectedColumnNoise,
     make_code,
 )
+from sttcim.cimarray import AccessCounters
 
 # Two codes, one per protection level.  The light one corrects single
 # bit errors and detects doubles; the heavy one corrects up to three and
@@ -61,7 +62,7 @@ arr = CimArray(config, sampler=InjectedColumnNoise(p=0.01, seed=9))
 vals = [random.Random(i).getrandbits(32) for i in range(64)]
 for i, v in enumerate(vals):
     arr.write_word(i, v)
-arr.counters.reset()
+arr.counters = AccessCounters()
 
 # Operands of one access sit in the same columns, so pair word j with
 # word j+32: two rows down, same group.
@@ -77,7 +78,7 @@ print(f"  corrected words: {c.corrected_words}, fixed from the xor sideband: {c.
 # Non-XOR results are not codewords, so a detected error there falls back
 # to two near-memory reads plus the local ALU: three accesses, correct
 # answer, separate traffic bucket.
-arr.counters.reset()
+arr.counters = AccessCounters()
 worst = 1
 for j in range(32):
     got, accesses = arr.cim_word(CimOp.AND, j, j + 32)

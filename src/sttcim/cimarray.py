@@ -208,10 +208,6 @@ class AccessCounters:
     xor_fixups: int = 0
     fallbacks: int = 0
 
-    def reset(self) -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
-
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 

@@ -34,26 +34,25 @@ assembler and the formatter are one loop each over a signature, and the
 rewriter's register roles (``_uses``) and the set of mnemonics that end in a
 label (``_LABEL_OPS``) are derived from it at import.
 
-A ``Cpu`` decodes its program once, at construction, into one handler per
-instruction: mnemonics are dispatched, branch labels resolved to indices
-(an unknown label is an ``AsmError`` there), ``VCIM.*`` mnemonics looked
-up as (op, lanes, reduction) and SPWR bank masks checked against the array
-before the first step.  A block is the straight line from an entry point
-through its first branch, jump or HALT.  On its first entry it runs one
-handler call per instruction; on its second it is compiled into one
-generated function that runs the whole block per call.  A loop therefore
-runs compiled from its second iteration, and a block entered once, such as
-a long straight-line program, never pays for a compile.  Both paths give
-the same registers, memory, cycles and faults, down to a ``max_steps`` cut
-inside a block.
+``_EFFECTS`` states what each instruction does, once: the handlers are
+generated from it, compiled blocks formatted from it, and the rewriter folds
+constants through those handlers.  A ``Cpu`` decodes its program once, at
+construction: labels are resolved (an unknown one is an ``AsmError``), CiM
+and ``VCIM.*`` mnemonics carry their op, SPWR bank masks are checked.  A
+block is the straight line from an entry point through its first branch,
+jump or HALT.  It runs one handler call per instruction on its first entry
+and is compiled into one function on its second, so a loop runs compiled
+from its second iteration and a block entered once never pays for a
+compile.  Both paths give the same registers, memory, cycles and faults,
+down to a ``max_steps`` cut inside a block.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cimarray import CimArray, CimOp
 
@@ -119,16 +118,13 @@ def _slots(sig: str, kind: str) -> tuple[int, ...]:
 
 # (read, written) register argument indices per mnemonic.
 _ROLES = {op: (_slots(sig, "r"), _slots(sig, "w")) for op, sig in _ISA.items()}
+# One object per distinct (read, written) pair of register sets.
+_ROLE_SETS: dict = {}
 
 
-def _uses(ins: Instruction) -> tuple[set[int], set[int]]:
+def _uses(ins: Instruction) -> tuple[frozenset[int], frozenset[int]]:
     """(read registers, written registers) of one instruction."""
-    try:
-        reads, writes = _ROLES[ins.op]
-    except KeyError:
-        raise ValueError(f"unknown op {ins.op!r}") from None
-    a = ins.args
-    return {a[i] for i in reads}, {a[i] for i in writes}
+    return ins._roles
 
 
 class AsmError(ValueError):
@@ -145,6 +141,17 @@ class Instruction:
     args: tuple = ()
     labels: tuple[str, ...] = ()
     line: int = 0
+
+    @functools.cached_property
+    def _roles(self) -> tuple[frozenset[int], frozenset[int]]:
+        # Worked out once per instruction: the rewriter asks again and again.
+        try:
+            reads, writes = _ROLES[self.op]
+        except KeyError:
+            raise ValueError(f"unknown op {self.op!r}") from None
+        a = self.args
+        roles = frozenset(a[i] for i in reads), frozenset(a[i] for i in writes)
+        return _ROLE_SETS.setdefault(roles, roles)
 
 
 @dataclass
@@ -286,121 +293,77 @@ def _format_one(ins: Instruction) -> str:
 
 # -- decoded execution ------------------------------------------------------
 # A decoded instruction is (handler, operands, line).  A handler takes (cpu,
-# pc, operands) and returns (next pc, array accesses).  Handlers are module
-# functions, so a decoded program holds no reference to the Cpu that runs
-# it and a finished Cpu is freed without waiting for the cycle collector.
+# pc, operands) and returns (next pc, array accesses).  Handlers hold no
+# reference to a Cpu, so a finished Cpu is freed without the cycle collector.
+# _EFFECTS states each instruction's effect once, per decoded kind: operand
+# fields in operand-tuple order, statements, array accesses and next pc.
+# Templates use {field} for an operand, r[i] for a register, {M}/{S} for the
+# word mask and sign bit, {next} for the fall-through pc and the array's
+# methods by name.  r0 reads as zero: a register write sits under `if {d}:`,
+# so the write is dropped and the cycle stays.  The handlers are generated
+# from the table at import; _block_source formats the same templates with
+# constants.  HALT and the fault are the only hand-written handlers.
 
-_ALU_FNS = {
-    "ADD": operator.add,
-    "SUB": operator.sub,
-    "AND": operator.and_,
-    "OR": operator.or_,
-    "XOR": operator.xor,
+
+class _Effect(NamedTuple):
+    fields: str
+    code: str
+    accesses: str = "0"
+    next: str = "{next}"
+
+
+_EFFECTS = {
+    "ADD": _Effect("d a b", "if {d}: r[{d}] = (r[{a}] + r[{b}]) & {M}"),
+    "SUB": _Effect("d a b", "if {d}: r[{d}] = (r[{a}] - r[{b}]) & {M}"),
+    "AND": _Effect("d a b", "if {d}: r[{d}] = (r[{a}] & r[{b}]) & {M}"),
+    "OR": _Effect("d a b", "if {d}: r[{d}] = (r[{a}] | r[{b}]) & {M}"),
+    "XOR": _Effect("d a b", "if {d}: r[{d}] = (r[{a}] ^ r[{b}]) & {M}"),
+    # Flipping the sign bit maps two's-complement order onto unsigned order.
+    "SLT": _Effect("d a b", "if {d}: r[{d}] = 1 if r[{a}] ^ {S} < r[{b}] ^ {S} else 0"),
+    "NOT": _Effect("d a", "if {d}: r[{d}] = ~r[{a}] & {M}"),
+    "ADDI": _Effect("d a imm", "if {d}: r[{d}] = (r[{a}] + {imm}) & {M}"),
+    "LUI": _Effect("d imm", "if {d}: r[{d}] = ({imm} << 16) & {M}"),
+    "LDW": _Effect("d imm base", "v = read_word((r[{base}] + {imm}) & {M})\n"
+                                 "if {d}: r[{d}] = v & {M}", "1"),
+    "STW": _Effect("s imm base", "write_word((r[{base}] + {imm}) & {M}, r[{s}])", "1"),
+    "CIM": _Effect("op d a b", "v, n = cim_word({op}, r[{a}], r[{b}])\n"
+                               "if {d}: r[{d}] = v & {M}", "n"),
+    "CIMNOT": _Effect("d a", "v, n = cim_not(r[{a}])\nif {d}: r[{d}] = v & {M}", "n"),
+    "VCIM": _Effect("op lanes reduce d a b", "v = vcim({op}, r[{a}], r[{b}], {lanes}, {reduce})\n"
+                                            "if {d}: r[{d}] = v & {M}", "1"),
+    "SPWR": _Effect("s banks", "for bank in {banks}: write_spare(bank, r[{s}])", "1"),
+    "BEQ": _Effect("a b target", "", next="{target} if r[{a}] == r[{b}] else {next}"),
+    "BNE": _Effect("a b target", "", next="{target} if r[{a}] != r[{b}] else {next}"),
+    "JMP": _Effect("target", "", next="{target}"),
 }
-_ALU_SYMBOLS = {operator.add: "+", operator.sub: "-", operator.and_: "&",
-                operator.or_: "|", operator.xor: "^"}
+_ARRAY_CALLS = ("read_word", "write_word", "cim_word", "cim_not", "vcim", "write_spare")
 
 
-def _nop(cpu, pc, x):
-    return pc + 1, 0
+def _handler_source(kind: str, effect: _Effect) -> str:
+    """A handler for one kind, named after it: operands unpacked into the
+    fields, the array methods it calls looked up on cpu.array."""
+    names = {f: f for f in effect.fields.split()}
+    code = effect.code.format(M="cpu._mask", S="cpu._sign", **names)
+    ret = f"return {effect.next.format(next='pc + 1', **names)}, {effect.accesses}"
+    lines = [f"{', '.join(names)}, = x", "r = cpu.regs"]
+    lines += [f"{call} = cpu.array.{call}" for call in _ARRAY_CALLS if f"{call}(" in code]
+    lines += code.splitlines() + [ret]
+    return f"def {kind}(cpu, pc, x):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _build_handlers() -> dict:
+    scope: dict = {}
+    exec(compile("\n".join(map(_handler_source, _EFFECTS, _EFFECTS.values())),
+                 "<handlers>", "exec"), scope)
+    return {kind: scope[kind] for kind in _EFFECTS}
+
+
+_HANDLERS = _build_handlers()
 
 
 def _halt(cpu, pc, x):
     cpu.halted = True
     return pc + 1, 0
-
-
-def _alu(cpu, pc, x):
-    fn, d, a, b = x
-    regs = cpu.regs
-    regs[d] = fn(regs[a], regs[b]) & cpu._mask
-    return pc + 1, 0
-
-
-def _slt(cpu, pc, x):
-    d, a, b = x
-    regs, sign = cpu.regs, cpu._sign
-    # Flipping the sign bit maps two's-complement order onto unsigned order.
-    regs[d] = 1 if regs[a] ^ sign < regs[b] ^ sign else 0
-    return pc + 1, 0
-
-
-def _not(cpu, pc, x):
-    d, a = x
-    cpu.regs[d] = ~cpu.regs[a] & cpu._mask
-    return pc + 1, 0
-
-
-def _addi(cpu, pc, x):
-    d, a, imm = x
-    cpu.regs[d] = (cpu.regs[a] + imm) & cpu._mask
-    return pc + 1, 0
-
-
-def _lui(cpu, pc, x):
-    d, imm = x
-    cpu.regs[d] = (imm << 16) & cpu._mask
-    return pc + 1, 0
-
-
-def _ldw(cpu, pc, x):
-    d, imm, base = x
-    value = cpu.array.read_word((cpu.regs[base] + imm) & cpu._mask)
-    if d:
-        cpu.regs[d] = value & cpu._mask
-    return pc + 1, 1
-
-
-def _stw(cpu, pc, x):
-    s, imm, base = x
-    cpu.array.write_word((cpu.regs[base] + imm) & cpu._mask, cpu.regs[s])
-    return pc + 1, 1
-
-
-def _cim(cpu, pc, x):
-    op, d, a, b = x
-    value, accesses = cpu.array.cim_word(op, cpu.regs[a], cpu.regs[b])
-    if d:
-        cpu.regs[d] = value & cpu._mask
-    return pc + 1, accesses
-
-
-def _cimnot(cpu, pc, x):
-    d, a = x
-    value, accesses = cpu.array.cim_not(cpu.regs[a])
-    if d:
-        cpu.regs[d] = value & cpu._mask
-    return pc + 1, accesses
-
-
-def _vcim(cpu, pc, x):
-    op, lanes, reduce, d, a, b = x
-    value = cpu.array.vcim(op, cpu.regs[a], cpu.regs[b], lanes, reduce)
-    if d:
-        cpu.regs[d] = value & cpu._mask
-    return pc + 1, 1
-
-
-def _spwr(cpu, pc, x):
-    v, banks = x
-    value = cpu.regs[v]
-    for bank in banks:
-        cpu.array.write_spare(bank, value)
-    return pc + 1, 1
-
-
-def _beq(cpu, pc, x):
-    a, b, target = x
-    return (target if cpu.regs[a] == cpu.regs[b] else pc + 1), 0
-
-
-def _bne(cpu, pc, x):
-    a, b, target = x
-    return (target if cpu.regs[a] != cpu.regs[b] else pc + 1), 0
-
-
-def _jmp(cpu, pc, x):
-    return x[0], 0
 
 
 def _fault(cpu, pc, x):
@@ -413,48 +376,42 @@ def _target(labels: dict[str, int], name: str, line: int) -> int:
     return labels[name]
 
 
-_PLAIN = {"HALT": _halt, "SLT": _slt, "NOT": _not, "ADDI": _addi, "LUI": _lui,
-          "LDW": _ldw, "STW": _stw, "CIMNOT": _cimnot,
-          "BEQ": _beq, "BNE": _bne, "JMP": _jmp}
-# Ops whose only effect is a register write.
-_PURE = frozenset(("SLT", "NOT", "ADDI", "LUI", *_ALU_FNS))
 # Handlers after which control may leave the straight line: each ends a block.
-_EXITS = frozenset((_beq, _bne, _jmp, _halt, _fault))
+_EXITS = frozenset((_halt, _fault, *(_HANDLERS[kind] for kind, e in _EFFECTS.items()
+                                     if e.next != "{next}")))
 
 
 def _decode_one(ins: Instruction, labels: dict[str, int], banks: int):
     op, a = ins.op, ins.args
     if op in _LABEL_OPS:
         a = a[:-1] + (_target(labels, a[-1], ins.line),)
-    if op in _PURE and a[0] == 0:  # r0 reads as zero: the write is dropped, the cycle stays
-        return _nop, ()
-    if op in _PLAIN:
-        return _PLAIN[op], a
-    if op in _ALU_FNS:
-        return _alu, (_ALU_FNS[op],) + a
-    if op in _CIM_OPS:
-        return _cim, (_CIM_OPS[op],) + a
-    if op in _VCIM:
-        return _vcim, _VCIM[op] + a
+    if op == "HALT":
+        return _halt, ()
     if op == "SPWR":
         v, mask = a
         if mask is None:
             mask = (1 << banks) - 1
         if mask <= 0 or mask >> banks:
             return _fault, (f"line {ins.line}: bad bank mask {mask:#x}",)
-        return _spwr, (v, tuple(b for b in range(banks) if mask >> b & 1))
+        return _HANDLERS["SPWR"], (v, tuple(b for b in range(banks) if mask >> b & 1))
+    if op in _CIM_OPS:
+        return _HANDLERS["CIM"], (_CIM_OPS[op],) + a
+    if op in _VCIM:
+        return _HANDLERS["VCIM"], _VCIM[op] + a
+    if op in _ISA:  # every other mnemonic is a kind of its own
+        return _HANDLERS[op], a
     return _fault, (f"line {ins.line}: unknown op {op!r}",)
 
 
 # -- compiled blocks ----------------------------------------------------------
 # A block runs from its entry pc through the first instruction that ends one
 # (_EXITS), or to the end of the program.  On its _COMPILE_AT-th entry a
-# block is compiled into one generated function: operands are constants,
-# registers r[i], and the array methods the handlers call are bound when the
-# block compiles, so a tracer wrapping them still sees every call.  A
-# trailing HALT or fault stays with its handler.  The function returns (next
-# pc, array accesses); when an instruction raises, it leaves (its offset in
-# the block, accesses before it) in its fault cell first.
+# block is compiled into one generated function: each instruction's _EFFECTS
+# templates with the operands, mask and sign bit as constants, and the array
+# methods bound when the block compiles, so a tracer wrapping them still
+# sees every call.  A trailing HALT or fault stays with its handler.  The
+# function returns (next pc, array accesses); when an instruction raises, it
+# leaves (its offset in the block, accesses before it) in its fault cell.
 #
 # On a 2-core x86 host under CPython 3.11, an ALU instruction costs about
 # 380 ns through its handler and 100 ns in a compiled loop.  compile() costs
@@ -463,12 +420,12 @@ def _decode_one(ins: Instruction, labels: dict[str, int], banks: int):
 # and 0.25 ms to interpret.
 _COMPILE_AT = 2
 
-_BLOCK = """\
-def bind(read_word, write_word, cim_word, cim_not, vcim, write_spare, fault):
+_BLOCK = f"""\
+def bind({", ".join(_ARRAY_CALLS)}, fault):
     def block(r):
         k = acc = 0
         try:
-{body}
+{{body}}
         except BaseException:
             fault[:] = k, acc
             raise
@@ -476,71 +433,33 @@ def bind(read_word, write_word, cim_word, cim_not, vcim, write_spare, fault):
 """
 
 
-def _block_source(code, start: int, stop: int, mask: int, sign: int) -> str:
-    """Source of a binder for the block code[start:stop]; see _BLOCK.  Each
-    instruction's statements follow k = its offset in the block."""
+def _block_source(block: tuple, start: int, mask: int, sign: int) -> str:
+    """Source of a binder for a block's decoded instructions, the first at pc
+    start; see _BLOCK.  Each instruction's statements follow k = its offset."""
     body = []
-    for k, (handler, x, _) in enumerate(code[start:stop]):
-        # An array access: (register written, what the call returns, call).
-        access = None
-        if handler is not _nop:
-            body.append(f"k = {k}")
-        if handler is _alu:
-            fn, d, a, b = x
-            body.append(f"r[{d}] = (r[{a}] {_ALU_SYMBOLS[fn]} r[{b}]) & {mask}")
-        elif handler is _slt:
-            d, a, b = x
-            body.append(f"r[{d}] = 1 if r[{a}] ^ {sign} < r[{b}] ^ {sign} else 0")
-        elif handler is _not:
-            d, a = x
-            body.append(f"r[{d}] = ~r[{a}] & {mask}")
-        elif handler is _addi:
-            d, a, imm = x
-            body.append(f"r[{d}] = (r[{a}] + {imm}) & {mask}")
-        elif handler is _lui:
-            d, imm = x
-            body.append(f"r[{d}] = {(imm << 16) & mask}")
-        elif handler is _ldw:
-            d, imm, base = x
-            access = d, "v", f"read_word((r[{base}] + {imm}) & {mask})"
-        elif handler is _stw:
-            s, imm, base = x
-            access = 0, "", f"write_word((r[{base}] + {imm}) & {mask}, r[{s}])"
-        elif handler is _cim:
-            op, d, a, b = x
-            access = d, "v, n", f"cim_word({op.name}, r[{a}], r[{b}])"
-        elif handler is _cimnot:
-            d, a = x
-            access = d, "v, n", f"cim_not(r[{a}])"
-        elif handler is _vcim:
-            op, lanes, reduce, d, a, b = x
-            access = d, "v", f"vcim({op.name}, r[{a}], r[{b}], {lanes}, {reduce!r})"
-        elif handler is _spwr:
-            v, banks = x
-            access = 0, "", "; ".join(f"write_spare({bank}, r[{v}])" for bank in banks)
-        elif handler is _beq or handler is _bne:
-            a, b, target = x
-            test = "==" if handler is _beq else "!="
-            body.append(f"return {target} if r[{a}] {test} r[{b}] else {stop}, acc")
-        elif handler is _jmp:
-            body.append(f"return {x[0]}, acc")
-        if access is not None:
-            d, result, call = access
-            body += [f"{result} = {call}" if result else call,
-                     "acc += n" if result == "v, n" else "acc += 1"]
-            if d and result:
-                body.append(f"r[{d}] = v & {mask}")
-    if code[stop - 1][0] not in _EXITS:
-        body.append(f"return {stop}, acc")
+    for k, (handler, x, _) in enumerate(block):
+        effect = _EFFECTS[handler.__name__]
+        # Operands as source text; a CimOp by its name, bound in _binder.
+        consts = {f: v.name if isinstance(v, CimOp) else repr(v)
+                  for f, v in zip(effect.fields.split(), x)}
+        consts.update(M=mask, S=sign, next=start + k + 1)
+        body.append(f"k = {k}")
+        body += effect.code.format(**consts).splitlines()
+        if effect.accesses != "0":
+            body.append(f"acc += {effect.accesses}")
+        if handler in _EXITS:
+            body.append(f"return {effect.next.format(**consts)}, acc")
+    if block[-1][0] not in _EXITS:
+        body.append(f"return {start + len(block)}, acc")
     return _BLOCK.format(body="\n".join(" " * 12 + line for line in body))
 
 
 @functools.lru_cache(maxsize=256)
-def _binder(source: str):
-    """The bind function of a block's source, compiled once per source: runs
-    of one program share it."""
+def _binder(block: tuple, start: int, mask: int, sign: int):
+    """The bind function of a block, compiled once per block: runs of one
+    program share it."""
     scope = {op.name: op for op in CimOp}
-    exec(compile(source, "<compiled block>", "exec"), scope)
+    exec(compile(_block_source(block, start, mask, sign), "<compiled block>", "exec"), scope)
     return scope["bind"]
 
 
@@ -582,10 +501,9 @@ class Cpu:
             stop -= 1
         if stop == start:
             return None
-        source = _block_source(self._code, start, stop, self._mask, self._sign)
+        bind = _binder(tuple(self._code[start:stop]), start, self._mask, self._sign)
         arr, fault = self.array, [0, 0]
-        fn = _binder(source)(arr.read_word, arr.write_word, arr.cim_word, arr.cim_not,
-                             arr.vcim, arr.write_spare, fault)
+        fn = bind(*(getattr(arr, call) for call in _ARRAY_CALLS), fault)
         return fn, stop - start, fault
 
     def run(self, max_steps: int = 10_000_000) -> RunResult:

@@ -29,7 +29,8 @@ Alignment safety, two proof strategies:
 * Straight-line prefix: if no branch or jump precedes the window and no
   branch target lands at or before it, the window runs at most once, with
   register values known by constant propagation from entry; one concrete
-  alignment check settles it.
+  alignment check settles it.  Each pure op (ADD, SUB, AND, OR, XOR, SLT,
+  NOT, ADDI, LUI) folds through the CPU's own handler at the word width.
 
 * Loop induction: each base register is written exactly twice in the whole
   program, once by a constant init (``ADDI r, r0, c`` or ``LUI r, c``) and
@@ -38,7 +39,8 @@ Alignment safety, two proof strategies:
   an enclosing loop would restart the sequence mid-flight), and both steps
   must sit in the window's own basic block after the window, so each window
   execution advances both pointers exactly once and in lockstep.  The pair
-  sequence (c_a + k*s, c_b + k*s) is then checked exhaustively for every k
+  sequence (c_a + k*s, c_b + k*s), with each init folded as above and each
+  sum wrapped at the word width, is then checked exhaustively for every k
   at which both addresses still fall inside the plan's placed segments.
   Programs that walk pointers outside their planned arrays are outside the
   tool's contract, exactly as they would be for the original loads.
@@ -69,9 +71,11 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from types import SimpleNamespace
 
 from .cimarray import SPARE_ALIAS, ArrayConfig, CimArray, _pair
-from .cpu import _ALU_FNS, _LABEL_OPS, Cpu, CpuFault, Instruction, Program, _uses
+from .cpu import (_EFFECTS, _HANDLERS, _LABEL_OPS, NUM_REGS, Cpu, CpuFault, Instruction,
+                  Program, _uses)
 from .mapper import MapPlan
 
 __all__ = [
@@ -86,6 +90,8 @@ _OP_TO_CIM = {"ADD": "CIMADD", "AND": "CIMAND", "OR": "CIMOR", "XOR": "CIMXOR"}
 # Control flow never falls through these; with the label ops they end a block.
 _NO_FALLTHROUGH = frozenset(("JMP", "HALT"))
 _ENDS_BLOCK = _LABEL_OPS | _NO_FALLTHROUGH
+# Ops whose only effect is a register write: no array access, no jump.
+_FOLDABLE = frozenset(k for k, e in _EFFECTS.items() if e.accesses == "0" and e.next == "{next}")
 
 
 @dataclass(frozen=True)
@@ -172,29 +178,28 @@ def _block_end(prog: Program, targets: set[int], i: int) -> int:
     return n
 
 
-def _fold(known: dict[int, int] | None, ins: Instruction) -> dict[int, int] | None:
+def _fold(known: dict[int, int] | None, ins: Instruction, width: int) -> dict[int, int] | None:
     """Constant propagation through one instruction on the straight line from
-    entry: updates and returns known, or None once control flow is reached."""
-    op, a = ins.op, ins.args
-    if known is None or op in _ENDS_BLOCK:
+    entry: updates and returns known, or None once control flow is reached.
+    A pure op whose reads are all known runs through the CPU's own handler
+    at the given word width; any other write makes its register unknown."""
+    if known is None or ins.op in _ENDS_BLOCK:
         return None
-    if op == "ADDI" and a[1] in known:
-        val = known[a[1]] + a[2]
-    elif op == "LUI":
-        val = a[1] << 16
-    elif op in _ALU_FNS and a[1] in known and a[2] in known:
-        val = _ALU_FNS[op](known[a[1]], known[a[2]])
+    reads, writes = _uses(ins)
+    if ins.op in _FOLDABLE and reads <= known.keys():
+        regs = [0] * NUM_REGS
+        for reg in reads:
+            regs[reg] = known[reg]
+        state = SimpleNamespace(regs=regs, _mask=(1 << width) - 1, _sign=1 << (width - 1))
+        _HANDLERS[ins.op](state, 0, ins.args)
+        known.update((w, regs[w]) for w in writes)  # the handler leaves r0 at 0
     else:
-        for w in _uses(ins)[1]:
-            if w != 0:  # the CPU discards r0 writes
-                known.pop(w, None)
-        return known
-    if a[0] != 0:
-        known[a[0]] = val & 0xFFFFFFFFFFFFFFFF
+        for w in writes - {0}:  # the CPU discards r0 writes
+            known.pop(w, None)
     return known
 
 
-def _induction(prog: Program, writers: Counter, reg: int):
+def _induction(prog: Program, writers: Counter, reg: int, width: int):
     """(init_value, stride, init_index, step_index) if reg is a two-write
     induction register: one constant init, one self-step."""
     if writers[reg] != 2 or reg == 0:
@@ -203,10 +208,9 @@ def _induction(prog: Program, writers: Counter, reg: int):
     for i, ins in enumerate(prog.instructions):
         if reg not in _uses(ins)[1]:
             continue
-        if ins.op == "ADDI" and ins.args == (reg, 0, ins.args[2]):
-            init = (i, ins.args[2])
-        elif ins.op == "LUI" and ins.args[0] == reg:
-            init = (i, ins.args[1] << 16)
+        if (ins.op == "ADDI" and ins.args == (reg, 0, ins.args[2])
+                or ins.op == "LUI" and ins.args[0] == reg):
+            init = (i, _fold({0: 0}, ins, width)[reg])
         elif ins.op == "ADDI" and ins.args[1] == reg and ins.args[0] == reg:
             step = (i, ins.args[2])
     if init is None or step is None or step[1] == 0:
@@ -238,8 +242,8 @@ def _prove_alignment(prog, labels, targets, writers, plan, known,
         if addresses_aligned(cfg, known[ra], known[rb]):
             return "const"
         return None
-    ia = _induction(prog, writers, ra)
-    ib = _induction(prog, writers, rb)
+    ia = _induction(prog, writers, ra, cfg.word_width)
+    ib = _induction(prog, writers, rb, cfg.word_width)
     if ia is None or ib is None:
         return None
     base_a, stride_a, init_a, step_a = ia
@@ -258,6 +262,7 @@ def _prove_alignment(prog, labels, targets, writers, plan, known,
     for step_idx in (step_a, step_b):
         if not win_end <= step_idx < bend:
             return None
+    mask = (1 << cfg.word_width) - 1  # the CPU's sums wrap at its word width
     stride = stride_a
     limit = 2 * cfg.total_words // max(1, abs(stride)) + 4
     starts, ends = _placed_spans(plan)
@@ -270,8 +275,8 @@ def _prove_alignment(prog, labels, targets, writers, plan, known,
     checked = 0
     try:
         for k in range(limit + 1):
-            la = base_a + k * stride
-            lb = base_b + k * stride
+            la = (base_a + k * stride) & mask
+            lb = (base_b + k * stride) & mask
             if not (placed(la) and placed(lb)):
                 break
             _pair(cfg, la, lb)
@@ -350,7 +355,7 @@ def transform(prog: Program, plan: MapPlan) -> XformReport:
         hit = (_try_cim_window(current, labels, targets, writers, plan, const, i)
                or _try_not_window(current, labels, i))
         if hit is None:
-            known = _fold(known, current.instructions[i])
+            known = _fold(known, current.instructions[i], plan.config.word_width)
             i += 1
             continue
         new_ins, width, note = hit

@@ -2,6 +2,7 @@
 bus invariants, the cycle model, and compiled blocks against the handlers."""
 
 import gc
+import random
 import re
 import weakref
 from unittest import mock
@@ -600,3 +601,171 @@ def test_compiled_block_keeps_the_state_of_any_error():
         states.append((cpu.regs, cpu.pc, cpu.cycles, cpu.executed, cpu.array.counters))
     assert states[0] == states[1]
     assert states[0][1:4] == (3, 4, 3)
+
+
+def test_an_access_whose_register_write_raises_leaves_the_same_state():
+    # The LDW reads the array, then its write to r40 raises: neither path
+    # counts the access in the cycles of an instruction that did not finish.
+    src = ("ADDI r1, r0, 3\nloop: STW r1, 0(r1)\nADDI r1, r1, -1\nLDW r2, 0(r1)\n"
+           "BNE r1, r0, loop\nHALT\n")
+    ins = parse_program(src).instructions
+    ins[3] = Instruction("LDW", (40, 0, 1), (), 4)
+    states = []
+    for hot in (1, _NEVER):
+        cpu = Cpu(CimArray(), Program(ins))
+        with mock.patch.object(cpu_module, "_COMPILE_AT", hot), pytest.raises(IndexError):
+            cpu.run()
+        states.append((cpu.regs, cpu.pc, cpu.cycles, cpu.executed, cpu.array.counters))
+    assert states[0] == states[1]
+    assert states[0][1:4] == (3, 4, 3) and states[0][4].reads == 1
+
+
+# -- every decoded kind against plain arithmetic ---------------------------------
+# Handlers and compiled blocks are both generated from cpu._EFFECTS, so the
+# differential test above cannot see a wrong template.  Here each kind's
+# result is stated in plain integer arithmetic at the word width instead.
+
+_CIM_REFERENCE = {
+    "AND": lambda x, y, m: x & y,
+    "OR": lambda x, y, m: x | y,
+    "XOR": lambda x, y, m: x ^ y,
+    "NAND": lambda x, y, m: m - (x & y),
+    "NOR": lambda x, y, m: m - (x | y),
+    "ADD": lambda x, y, m: (x + y) % (m + 1),
+}
+
+
+def _kind_cases(width):
+    """(kind, instruction, registers, memory, registers written, slots
+    written, branch taken, array accesses) per case.  Memory maps a data
+    word's address, which is also its slot, to its value; the spare row of
+    bank b, group g is slot 32 + 8 * b + g."""
+    mod, sign = 1 << width, 1 << (width - 1)
+    mask = mod - 1
+    rng = random.Random(width)
+    values = [0, 1, 5, sign - 1, sign, sign + 3, mask - 1, mask,
+              rng.getrandbits(width), rng.getrandbits(width)]
+    pairs = [(x, y) for x in values for y in values]
+
+    def signed(x):
+        return x - mod if x >= sign else x
+
+    alu = {
+        "ADD": lambda x, y: (x + y) % mod,
+        "SUB": lambda x, y: (x - y) % mod,
+        "AND": lambda x, y: x & y,
+        "OR": lambda x, y: x | y,
+        "XOR": lambda x, y: x ^ y,
+        "SLT": lambda x, y: int(signed(x) < signed(y)),
+    }
+    cases = []
+    for op, fn in alu.items():
+        cases += [(op, f"{op} r3, r1, r2", {1: x, 2: y}, {}, {3: fn(x, y)}, {}, False, 0)
+                  for x, y in pairs]
+        for x, y in pairs[13:16]:
+            cases += [(op, f"{op} r1, r1, r2", {1: x, 2: y}, {}, {1: fn(x, y)}, {}, False, 0),
+                      (op, f"{op} r3, r1, r1", {1: x}, {}, {3: fn(x, x)}, {}, False, 0),
+                      (op, f"{op} r0, r1, r2", {1: x, 2: y}, {}, {}, {}, False, 0)]
+    for x in values:
+        cases.append(("NOT", "NOT r3, r1", {1: x}, {}, {3: mask - x}, {}, False, 0))
+        for imm in (0, 1, -1, 7, -mod, mod + 3, 65540, -sign):
+            cases.append(("ADDI", f"ADDI r3, r1, {imm}", {1: x}, {},
+                          {3: (x + imm) % mod}, {}, False, 0))
+    cases += [("NOT", "NOT r0, r1", {1: 5}, {}, {}, {}, False, 0),
+              ("ADDI", "ADDI r0, r1, 1", {1: 5}, {}, {}, {}, False, 0),
+              ("LUI", "LUI r0, 1", {}, {}, {}, {}, False, 0)]
+    for imm in (0, 1, -1, 0x7FFF, 0xFFFF, 0x12345, -0x8000):
+        cases.append(("LUI", f"LUI r3, {imm}", {}, {}, {3: imm * 65536 % mod}, {}, False, 0))
+
+    # Bank 0 holds words 0..15 (row 0, row 1) and bank 1 words 16..31, so
+    # word g and word 8 + g form a pair.  Lane 2 of a vector op over words
+    # 0..7 and 8..15 is 0 for every op, and lane 3 is 0 for XOR.
+    mem = {i: rng.getrandbits(width) for i in range(32)}
+    mem[2] = mem[10] = 0
+    mem[11] = mem[3]
+    for base, imm in ((0, 0), (4, 3), (31, 0), (10, -4), (mod - 2, 5), (3, mod)):
+        addr = (base + imm) % mod
+        cases += [("LDW", f"LDW r3, {imm}(r1)", {1: base}, mem, {3: mem[addr]}, {}, False, 1),
+                  ("STW", f"STW r2, {imm}(r1)", {1: base, 2: values[-1]}, mem, {},
+                   {addr: values[-1]}, False, 1)]
+    cases.append(("LDW", "LDW r0, 4(r1)", {1: 1}, mem, {}, {}, False, 1))
+    for name, fn in _CIM_REFERENCE.items():
+        for a in (0, 5, 18):
+            cases.append(("CIM", f"CIM{name} r3, r1, r2", {1: a, 2: a + 8}, mem,
+                          {3: fn(mem[a], mem[a + 8], mask)}, {}, False, 1))
+        for red in ("SUM", "ZCMP") if name in ("AND", "OR", "XOR", "ADD") else ():
+            for a, lanes in ((0, 4), (0, 8), (4, 4), (16, 8)):
+                out = [fn(mem[a + k], mem[a + 8 + k], mask) for k in range(lanes)]
+                want = (sum(out) % mod if red == "SUM"
+                        else sum(1 << k for k, v in enumerate(out) if v))
+                cases.append(("VCIM", f"VCIM.{name}.{red}.{lanes} r3, r1, r2",
+                              {1: a, 2: a + 8}, mem, {3: want}, {}, False, 1))
+    cases.append(("CIM", "CIMXOR r0, r1, r2", {1: 0, 2: 8}, mem, {}, {}, False, 1))
+    for a in (0, 7, 29):
+        cases.append(("CIMNOT", "CIMNOT r3, r1", {1: a}, mem, {3: mask - mem[a]}, {}, False, 1))
+    for mask_arg, banks in (("", (0, 1)), (", 1", (0,)), (", 2", (1,)), (", 3", (0, 1))):
+        spare = {32 + 8 * b + g: values[-2] for b in banks for g in range(8)}
+        cases.append(("SPWR", f"SPWR r1{mask_arg}", {1: values[-2]}, {}, {}, spare, False, 1))
+
+    for x, y in [(v, v) for v in values[:4]] + pairs[1:40:3]:
+        cases += [("BEQ", "BEQ r1, r2, t", {1: x, 2: y}, {}, {}, {}, x == y, 0),
+                  ("BNE", "BNE r1, r2, t", {1: x, 2: y}, {}, {}, {}, x != y, 0)]
+    cases.append(("JMP", "JMP t", {}, {}, {}, {}, True, 0))
+    return cases
+
+
+@pytest.mark.parametrize("width", (16, 32))
+@pytest.mark.parametrize("hot", (1, _NEVER), ids=("compiled", "handlers"))
+def test_every_kind_matches_plain_arithmetic(width, hot):
+    config = ArrayConfig(banks=2, rows_per_bank=3, words_per_row=8, word_width=width)
+    cases = _kind_cases(width)
+    assert {case[0] for case in cases} == set(cpu_module._EFFECTS)
+    for kind, text, regs, mem, wrote, stored, taken, accesses in cases:
+        arr = CimArray(config)
+        arr.load(mem)
+        cpu = Cpu(arr, parse_program(f"{text}\nHALT\nt: HALT\n"))
+        for reg, value in regs.items():
+            cpu.regs[reg] = value
+        with mock.patch.object(cpu_module, "_COMPILE_AT", hot):
+            result = cpu.run()
+        assert (cpu._compiled.get(0) is not None) == (hot == 1)
+        want_regs = [0] * 32
+        for reg, value in {**regs, **wrote}.items():
+            want_regs[reg] = value
+        want_words = [mem.get(i, 0) for i in range(32)] + [0] * 16
+        for slot, value in stored.items():
+            want_words[slot] = value
+        got = cpu.regs, [arr.code.extract(w) for w in arr._words], cpu.pc, result.cycles
+        assert got == (want_regs, want_words, 3 if taken else 2, 2 + accesses), text
+
+
+def test_every_mnemonic_decodes_to_a_generated_handler():
+    kind_of = {handler: kind for kind, handler in cpu_module._HANDLERS.items()}
+    kinds = set()
+    for op, sig in cpu_module._ISA.items():
+        args = []
+        for k in sig:
+            args += {"m": [0, 1], "b": ["t"], "j": ["t"], "o": [None], "i": [0]}.get(k, [1])
+        handler, _ = cpu_module._decode_one(Instruction(op, tuple(args)), {"t": 0}, 2)
+        if op == "HALT":
+            assert handler is cpu_module._halt
+        else:
+            assert handler in kind_of, op
+            kinds.add(kind_of[handler])
+    assert kinds == set(cpu_module._EFFECTS)
+
+
+@pytest.mark.parametrize("hot", (1, _NEVER), ids=("compiled", "handlers"))
+def test_a_fallback_costs_three_accesses_in_cycles(hot):
+    # A corrected non-XOR lane falls back to two near-memory reads: the CIM
+    # instruction's accesses are the array's count, not a constant 1.
+    arr = CimArray(_DIFF, InjectedColumnNoise(0.003, 7))
+    arr.load({i: (i * 0x9E3779B1) & 0xFFFFFFFF for i in range(_DIFF.total_words)})
+    prog = parse_program("ADDI r1, r0, 3\nADDI r2, r0, 11\nADDI r4, r0, 100\n"
+                         "loop: CIMAND r3, r1, r2\nADDI r4, r4, -1\nBNE r4, r0, loop\nHALT\n")
+    cpu = Cpu(arr, prog)
+    with mock.patch.object(cpu_module, "_COMPILE_AT", hot):
+        result = cpu.run()
+    c = arr.counters
+    assert c.cim_ops == 100 and c.fallbacks > 0
+    assert result.cycles == result.instructions + c.cim_ops + 2 * c.fallbacks

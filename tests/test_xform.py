@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sttcim import bench, xform
-from sttcim.cimarray import ArrayConfig, CimArray, SPARE_ALIAS
+from sttcim.cimarray import AccessCounters, ArrayConfig, CimArray, SPARE_ALIAS
 from sttcim.cpu import Cpu, Program, format_program, parse_program
 from sttcim.mapper import MapPlan, PlanSegment, plan_type1, plan_type2
 from sttcim.xform import addresses_aligned, transform, verify_equivalence
@@ -90,6 +90,56 @@ def test_straightline_misaligned_not_rewritten():
     """
     rep = transform(parse_program(src), PLAN)
     assert rep.rewrites == ()
+
+
+# 80,000 data words of 16 bits: linear addresses past 2^16 exist, but the CPU's
+# address sums wrap at the word width.
+_WIDE16 = ArrayConfig(banks=50, rows_per_bank=101, words_per_row=16, word_width=16)
+_WIDE16_PLAN = MapPlan(_WIDE16, "type1", (PlanSegment("A", 0, 0, 16),
+                                          PlanSegment("B", 0, 65500, 100)))
+
+
+def test_const_proof_uses_addresses_at_the_word_width():
+    # ADDI leaves 65540 mod 2^16 = 4 in r1, and words 4 and 65524 lie in
+    # different banks, though 65540 and 65524 would pair.
+    src = """
+        ADDI r1, r0, 65540
+        ADDI r2, r0, 65524
+        LDW r5, 0(r1)
+        LDW r6, 0(r2)
+        XOR r7, r5, r6
+        STW r7, 8(r0)
+        HALT
+    """
+    prog = parse_program(src)
+    rep = transform(prog, _WIDE16_PLAN)
+    assert rep.rewrites == ()
+    assert verify_equivalence(prog, rep.program, _WIDE16_PLAN)
+
+
+@pytest.mark.parametrize("a, b, trips", [(65540, 65524, 4), (65530, 65514, 8)])
+def test_induction_proof_uses_addresses_at_the_word_width(a, b, trips):
+    # The pair walked by a loop: the CPU's first pointer starts at 4, or
+    # wraps from 65535 to 0 on the seventh trip.
+    src = f"""
+        ADDI r1, r0, {a}
+        ADDI r2, r0, {b}
+        ADDI r3, r0, {trips}
+    loop:
+        LDW r5, 0(r1)
+        LDW r6, 0(r2)
+        XOR r7, r5, r6
+        STW r7, 8(r0)
+        ADDI r1, r1, 1
+        ADDI r2, r2, 1
+        ADDI r3, r3, -1
+        BNE r3, r0, loop
+        HALT
+    """
+    prog = parse_program(src)
+    rep = transform(prog, _WIDE16_PLAN)
+    assert rep.rewrites == ()
+    assert verify_equivalence(prog, rep.program, _WIDE16_PLAN)
 
 
 def test_live_loaded_register_blocks_rewrite():
@@ -204,7 +254,7 @@ def test_induction_rewrite_and_equivalence():
         for i in range(32):
             arr.write_word(PLAN.address("A", i), 3 * i + 1)
             arr.write_word(PLAN.address("B", i), i * i % 97)
-        arr.counters.reset()
+        arr.counters = AccessCounters()
         cpu = Cpu(arr, p)
         cpu.run()
         counts = arr.counters.as_dict()
@@ -489,7 +539,7 @@ def _reference_transform(prog, plan):
             )
             known = {0: 0}
             for ins in current.instructions[:i]:
-                known = xform._fold(known, ins)
+                known = xform._fold(known, ins, plan.config.word_width)
             if any(t <= i for t in targets):
                 known = None
             hit = xform._try_cim_window(
