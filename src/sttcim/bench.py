@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from .cimarray import ArrayConfig, CimArray
 from .cpu import Cpu, Program, parse_program
@@ -122,7 +123,7 @@ class _Setup:
 
 
 def _words(rng: random.Random, n: int) -> list[int]:
-    return [rng.getrandbits(32) for _ in range(n)]
+    return list(map(rng.getrandbits, repeat(32, n)))
 
 
 def _fold(values) -> int:

@@ -11,7 +11,10 @@ the spare rows, bank b's group g at ``total_words + b * words_per_row + g``.
 Two functions are the layout's only home: ``_locate`` turns an ``Addr``, a
 linear address or a spare alias into its slot and (bank, row, group), and
 ``_pair`` states the two-row rule (one bank, one word group, distinct rows)
-for the CiM and vector accesses and for the rewriter.
+for the CiM and vector accesses and for the rewriter.  For two linear ints,
+data addresses or one spare alias, ``_pair`` does the layout's arithmetic
+itself: bank ``a // words_per_bank``, group ``a % words_per_row``.  Every
+other pair goes through ``_locate``, whose errors name the bad operand.
 
 An in-array access activates one row (READ, NOT) or two rows (the rest) and
 senses every column of one word in parallel.  Each column carries two
@@ -33,11 +36,12 @@ controller always decodes the XOR lane of a two-row access.
 * DETECTED_UNCORRECTABLE: raise ``HardError``.
 
 Every stored word is a codeword: the store starts zeroed, and every write
-and ``load`` goes through ``encode``.  So a read that senses the stored word
-unchanged, or a two-row access whose XOR lane equals the XOR of the two
-stored words, holds a codeword and is CLEAN with data ``extract(word)``;
-only a sensed word that differs reaches the decoder.  The decoder would
-answer the same, at several times the cost.
+goes through ``encode`` (``load`` through the code's batch encode, after
+checking every address and word, so a load that raises stores nothing).  So
+a read that senses the stored word unchanged, or a two-row access whose XOR
+lane equals the XOR of the two stored words, holds a codeword and is CLEAN
+with data ``extract(word)``; only a sensed word that differs reaches the
+decoder.  The decoder would answer the same, at several times the cost.
 
 NOT activates a single row against the read reference with the inverting
 amp; there is no second operand, the XOR sideband is identically zero and
@@ -73,6 +77,7 @@ pure function of (seed, access, column), so the block changes no sensed bit.
 from __future__ import annotations
 
 import enum
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -378,9 +383,6 @@ class DeviceColumnSampler(_BlockSampler):
 
 
 _TWO_ROW_OPS = (CimOp.AND, CimOp.OR, CimOp.NAND, CimOp.NOR, CimOp.XOR, CimOp.ADD)
-# Module names for the members the access paths test: an Enum member looked
-# up on its class costs about ten global lookups on CPython 3.11.
-_AND, _OR, _NAND, _NOR, _XOR, _ADD = _TWO_ROW_OPS
 _CLEAN, _CORRECTED, _DETECTED = DecodeStatus
 
 
@@ -416,6 +418,27 @@ def _locate(config: ArrayConfig, addr, spare_ok: bool = False) -> tuple[int, int
 def _pair(config: ArrayConfig, addr_a, addr_b) -> tuple[int, int, int]:
     """(slot_a, slot_b, group) of a two-row operand pair; raises ValueError
     unless the words share a bank and a word group in distinct rows."""
+    if type(addr_a) is int and type(addr_b) is int:
+        # Two data addresses, or one and a spare alias: the layout's
+        # arithmetic without _locate.  Anything else takes _locate, which
+        # names what is wrong with an operand.
+        total = config.total_words
+        a, b = addr_a, addr_b
+        if not 0 <= a < total:
+            a -= SPARE_ALIAS
+        elif not 0 <= b < total:
+            b -= SPARE_ALIAS
+        if 0 <= a < total and 0 <= b < total:
+            per_bank, per_row = config.words_per_bank, config.words_per_row
+            bank, group = a // per_bank, a % per_row
+            if bank != b // per_bank:
+                raise ValueError("CiM operands must share a bank")
+            if group != b % per_row:
+                raise ValueError("CiM operands must be column-aligned")
+            if addr_a == addr_b:  # an alias's spare row is never a data row
+                raise ValueError("CiM operands must be distinct rows")
+            spare = total + bank * per_row + group
+            return a if a == addr_a else spare, b if b == addr_b else spare, group
     slot_a, bank, row, group = _locate(config, addr_a, True)
     slot_b, bank_b, row_b, group_b = _locate(config, addr_b, True)
     if bank != bank_b:
@@ -441,8 +464,21 @@ class CimArray:
         self._words = [0] * (config.total_words + config.banks * config.words_per_row)
         self._access = 0
         self._n = self.code.n
-        self._data_mask = (1 << config.word_width) - 1
+        self._data_mask = mask = (1 << config.word_width) - 1
         self._total_words = config.total_words
+        extract = self.code.extract
+        # Per two-row op: its function of two data words (the register-file
+        # recompute and the vector unit's lanes), and a clean access's
+        # output from the comparator masks and the XOR lane's data.
+        self._ops = {
+            CimOp.AND: (operator.and_, lambda o_or, o_and, x: extract(o_and)),
+            CimOp.OR: (operator.or_, lambda o_or, o_and, x: extract(o_or)),
+            CimOp.NAND: (lambda a, b: (a & b) ^ mask, lambda o_or, o_and, x: extract(o_and) ^ mask),
+            CimOp.NOR: (lambda a, b: (a | b) ^ mask, lambda o_or, o_and, x: extract(o_or) ^ mask),
+            CimOp.XOR: (operator.xor, lambda o_or, o_and, x: x),
+            # ADD keeps its carry-out at bit word_width (see the module notes).
+            CimOp.ADD: (operator.add, lambda o_or, o_and, x: x + 2 * extract(o_and)),
+        }
 
     # -- addressing -----------------------------------------------------
 
@@ -460,13 +496,16 @@ class CimArray:
         self.counters.writes += 1
 
     def load(self, words) -> None:
-        """Store an initial image, a map from address to data word: each
-        word is encoded into its slot, and no traffic is counted."""
-        encode, store, total = self.code.encode, self._words, self._total_words
-        for addr, data in words.items():
-            if type(addr) is not int or not 0 <= addr < total:  # else its own slot
-                addr = self._resolve(addr)
-            store[addr] = encode(data)
+        """Store an initial image, a map from address to data word, encoded
+        into its slots; no traffic is counted.  Every address and word is
+        checked before the first store, so a load that raises stores
+        nothing."""
+        total = self._total_words
+        slots = [addr if type(addr) is int and 0 <= addr < total else self._resolve(addr)
+                 for addr in words]
+        store = self._words
+        for slot, word in zip(slots, self.code.encode_many(list(words.values()))):
+            store[slot] = word
 
     def write_spare(self, bank: int, data: int) -> None:
         """Broadcast one word into every group of a bank's spare row."""
@@ -510,7 +549,9 @@ class CimArray:
         return res.data
 
     def read_word(self, addr) -> int:
-        return self._read(self._resolve(addr))
+        if type(addr) is not int or not 0 <= addr < self._total_words:  # else its own slot
+            addr = self._resolve(addr)
+        return self._read(addr)
 
     def cim_not(self, addr) -> tuple[int, int]:
         """Single-row inverted read.  No XOR sideband exists for one
@@ -522,24 +563,13 @@ class CimArray:
         return self.code.extract(sensed) ^ self._data_mask, 1
 
     def _alu(self, op: CimOp, a: int, b: int) -> int:
-        mask = self._data_mask
-        if op is _AND:
-            return a & b
-        if op is _OR:
-            return a | b
-        if op is _NAND:
-            return (a & b) ^ mask
-        if op is _NOR:
-            return (a | b) ^ mask
-        if op is _XOR:
-            return a ^ b
-        if op is _ADD:
-            return a + b  # carry-out kept at bit word_width
-        raise ValueError(f"not a two-operand op: {op}")
+        """The register-file recompute of a two-row op."""
+        return self._ops[op][0](a, b)
 
     def cim_word(self, op: CimOp, addr_a, addr_b) -> tuple[int, int]:
         """Two-row in-array op.  Returns (result data, array accesses)."""
-        if op not in _TWO_ROW_OPS:
+        entry = self._ops.get(op)
+        if entry is None:
             raise ValueError(f"{op!r} is not a two-row op")
         a, b, _ = _pair(self.config, addr_a, addr_b)
         self._access += 1
@@ -548,13 +578,13 @@ class CimArray:
         o_or, o_and = self.sampler.sense_pair(self._access, wa, wb, self._n)
         lane = o_or & ~o_and
         if lane == wa ^ wb:  # a codeword: CLEAN (see the module notes)
-            return self._op_output(op, o_or, o_and, self.code.extract(lane)), 1
+            return entry[1](o_or, o_and, self.code.extract(lane)), 1
         res = self.code.decode(lane)
         if res.status is _CLEAN:
-            return self._op_output(op, o_or, o_and, res.data), 1
+            return entry[1](o_or, o_and, res.data), 1
         if res.status is _CORRECTED:
             self.counters.corrected_words += 1
-            if op is _XOR:
+            if op == CimOp.XOR:
                 self.counters.xor_fixups += 1
                 return res.data, 1
             self.counters.fallbacks += 1
@@ -562,21 +592,6 @@ class CimArray:
             db = self._read(b, near_memory=True)
             return self._alu(op, da, db), 3
         raise HardError("uncorrectable XOR lane on CiM access")
-
-    def _op_output(self, op: CimOp, o_or: int, o_and: int, xor_data: int) -> int:
-        """The requested output from a clean access's comparator masks;
-        xor_data is the data of the XOR lane (ADD: see the module notes)."""
-        if op is _XOR:
-            return xor_data
-        if op is _ADD:
-            return xor_data + 2 * self.code.extract(o_and)
-        if op is _AND:
-            return self.code.extract(o_and)
-        if op is _OR:
-            return self.code.extract(o_or)
-        if op is _NAND:
-            return self.code.extract(o_and) ^ self._data_mask
-        return self.code.extract(o_or) ^ self._data_mask  # NOR
 
     # -- vector accesses ---------------------------------------------------
 
@@ -593,7 +608,8 @@ class CimArray:
             raise ValueError("bad lane count")
         if reduce not in ("sum", "zcmp"):
             raise ValueError("reduce must be sum or zcmp")
-        if op not in _TWO_ROW_OPS:
+        entry = self._ops.get(op)
+        if entry is None:
             raise ValueError(f"{op!r} is not a two-row op")
         a, b, group = _pair(self.config, addr_a, addr_b)
         if group + lanes > self.config.words_per_row:
@@ -601,13 +617,13 @@ class CimArray:
         self.counters.vcim_ops += 1
         self.counters.vcim_lanes += lanes
         words, extract = self._words, self.code.extract
+        results = map(entry[0], map(extract, words[a:a + lanes]), map(extract, words[b:b + lanes]))
+        if reduce == "sum":
+            return sum(results) & self._data_mask
         acc = 0
-        for k in range(lanes):
-            lane = self._alu(op, extract(words[a + k]), extract(words[b + k]))
-            if reduce == "sum":
-                acc = (acc + lane) & self._data_mask
-            else:
-                acc |= (1 if lane != 0 else 0) << k
+        for k, lane in enumerate(results):
+            if lane:
+                acc |= 1 << k
         return acc
 
 

@@ -39,13 +39,18 @@ Every linear map over bits (encoding, and ``Secded``'s data extraction; an
 one generated expression: the input is cut into 11-bit fields, each field
 indexes a 2^11-entry table of XORs of its columns, and the lookups are
 unrolled into a single XOR.  A 32-bit ``Ec3Ed4`` encode is three lookups.
+``encode_many`` evaluates the same tables over a numpy array of words, one
+vectorised lookup per field, for codewords of up to 64 bits.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "DecodeStatus",
@@ -87,10 +92,11 @@ _FIELD_BITS = 11
 
 
 def _linear_map(columns):
-    """The GF(2)-linear map sending x to the XOR of columns[i] over the set
-    bits i of x (bits of x past the last column are ignored), as one
-    unrolled expression: x is cut into 11-bit fields and field k indexes a
-    table holding the XOR of every subset of its columns."""
+    """(map, tables): the GF(2)-linear map sending x to the XOR of
+    columns[i] over the set bits i of x (bits of x past the last column are
+    ignored), as one unrolled expression, and its tables: x is cut into
+    11-bit fields and field k indexes tables[k], the XOR of every subset of
+    its columns."""
     tables, terms = [], []
     for k in range(0, len(columns), _FIELD_BITS):
         chunk = columns[k:k + _FIELD_BITS]
@@ -104,7 +110,7 @@ def _linear_map(columns):
     names = ", ".join(f"t{i}" for i in range(len(tables)))
     scope: dict = {}
     exec(f"def bind({names}):\n    return lambda x: {' ^ '.join(terms)}\n", scope)
-    return scope["bind"](*tables)
+    return scope["bind"](*tables), tables
 
 
 _CLEAN, _CORRECTED, _DETECTED = DecodeStatus
@@ -119,7 +125,8 @@ class _SyndromeCode:
     t = 1  # the number of bit errors a decode corrects
 
     def _build_maps(self, data_codewords) -> None:
-        self._encode = encode = _linear_map(data_codewords)
+        self._encode, self._encode_tables = _linear_map(data_codewords)
+        encode = self._encode
         # Per codeword bit: the data bits it holds (none for a check bit),
         # and its column syndrome, the re-encode residue of the unit word.
         # A residue has no bit below the lowest check position; shifted
@@ -140,6 +147,32 @@ class _SyndromeCode:
         if data >> self.data_bits:
             raise ValueError("data out of range")
         return self._encode(data)
+
+    def encode_many(self, values: list) -> list[int]:
+        """``[encode(v) for v in values]``: one range check, then the encode
+        tables evaluated over an int64 array.  Anything numpy does not hold
+        as int64 (floats, huge ints, an empty list), and every code whose
+        codewords pass 64 bits, takes the word-by-word encode."""
+        x = np.array(values)
+        tables = self._table_arrays
+        if x.dtype != np.int64 or tables is None:
+            return list(map(self.encode, values))
+        # count_nonzero rather than any(): the first call of each ufunc pages in
+        # about 128 KB of numpy's code, so every ufunc here adds to peak RSS.
+        if np.count_nonzero(x >> self.data_bits):
+            raise ValueError("data out of range")
+        words = np.zeros(len(x), np.uint64)
+        for k, table in enumerate(tables):
+            words ^= table[(x >> (k * _FIELD_BITS)) & (len(table) - 1)]
+        return words.tolist()
+
+    @cached_property
+    def _table_arrays(self) -> list | None:
+        """The encode tables as uint64 arrays, built on the first batch
+        encode; None when codewords pass 64 bits."""
+        if self.n > 64:
+            return None
+        return [np.array(table, dtype=np.uint64) for table in self._encode_tables]
 
     def decode(self, word: int) -> DecodeResult:
         if word >> self.n:
@@ -206,7 +239,7 @@ class Secded(_SyndromeCode):
         extract_columns = [0] * self.n
         for j, pos in enumerate(self.data_positions):
             extract_columns[pos] = 1 << j
-        self.extract = _linear_map(extract_columns)
+        self.extract = _linear_map(extract_columns)[0]
         data_codewords = []
         for pos in self.data_positions:
             word = 1 << pos

@@ -23,6 +23,7 @@ from sttcim.cimarray import (
     SPARE_ALIAS,
     _TWO_ROW_OPS,
     _BlockSampler,
+    _locate,
     _pair,
     selftest,
 )
@@ -686,9 +687,8 @@ class _StoreModel:
         if name == "write_word":
             words[self.coords(args[0])] = args[1]
             c.writes += 1
-        elif name == "load":
-            for addr, data in args[0].items():
-                words[self.coords(addr)] = data
+        elif name == "load":  # every address is checked before the first store
+            words.update({self.coords(addr): data for addr, data in args[0].items()})
         elif name == "write_spare":
             if not 0 <= args[0] < cfg.banks:
                 raise ValueError("bank")
@@ -867,7 +867,7 @@ class _AlwaysDecodes(CimArray):
                                               self._n)
         res = self.code.decode(o_or & ~o_and)
         if res.status is DecodeStatus.CLEAN:
-            return self._op_output(op, o_or, o_and, res.data), 1
+            return self._ops[op][1](o_or, o_and, res.data), 1
         if res.status is DecodeStatus.CORRECTED:
             self.counters.corrected_words += 1
             if op is CimOp.XOR:
@@ -947,3 +947,149 @@ def test_negative_addr_coordinates_rejected(addr):
         with pytest.raises(ValueError):
             call()
     assert arr.counters == AccessCounters()
+
+
+# -- the two-row rule on linear ints, atomic loads, int-valued ops ----------------
+
+
+def _two_locates(config, addr_a, addr_b):
+    """_pair stated through _locate alone, the reference of its int path."""
+    slot_a, bank, row, group = _locate(config, addr_a, True)
+    slot_b, bank_b, row_b, group_b = _locate(config, addr_b, True)
+    if bank != bank_b:
+        raise ValueError("CiM operands must share a bank")
+    if group != group_b:
+        raise ValueError("CiM operands must be column-aligned")
+    if row == row_b:
+        raise ValueError("CiM operands must be distinct rows")
+    return slot_a, slot_b, group
+
+
+def _result_or_message(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+_PAIR_CONFIGS = (_SMALL, ArrayConfig(banks=1, rows_per_bank=3, words_per_row=1, word_width=8),
+                 ArrayConfig(banks=3, rows_per_bank=5, words_per_row=4, word_width=8))
+
+
+@pytest.mark.parametrize("config", _PAIR_CONFIGS)
+def test_pair_on_every_int_pair_matches_two_locates(config):
+    ints = range(-3, config.total_words + 4)
+    operands = list(ints) + [k + SPARE_ALIAS for k in ints]
+    for a in operands:
+        for b in operands:
+            assert (_result_or_message(_pair, config, a, b)
+                    == _result_or_message(_two_locates, config, a, b)), (a, b)
+
+
+@st.composite
+def _pair_case(draw):
+    config = draw(st.sampled_from(_PAIR_CONFIGS))
+    linear = st.integers(-3, config.total_words + 3)
+    operand = st.one_of(
+        linear, linear.map(lambda k: k + SPARE_ALIAS),
+        st.builds(Addr, st.integers(-1, config.banks), st.integers(-1, config.rows_per_bank),
+                  st.integers(-1, config.words_per_row)))
+    a = draw(operand)
+    if draw(st.booleans()):  # b in a's word group, a few rows away, maybe in another form
+        if isinstance(a, Addr):
+            b = Addr(a.bank, a.row + draw(st.integers(-2, 2)), a.group)
+        else:
+            b = (a + draw(st.integers(-2, 2)) * config.words_per_row
+                 + draw(st.sampled_from((0, SPARE_ALIAS, -SPARE_ALIAS))))
+        if draw(st.booleans()):
+            a, b = b, a
+    else:
+        b = draw(operand)
+    return config, a, b
+
+
+@settings(derandomize=True, deadline=None, max_examples=800, database=None)
+@given(_pair_case())
+def test_pair_matches_two_locates(case):
+    # Ints, aliases (two of them included), Addr operands and mixed pairs:
+    # the same slots, or the same ValueError text.
+    config, a, b = case
+    assert _result_or_message(_pair, config, a, b) == _result_or_message(_two_locates, config, a, b)
+
+
+@pytest.mark.parametrize("image, message", [
+    ({0: 5, 1: 1 << 32, 2: 7}, "data out of range"),
+    ({0: 5, 1: -1}, "data out of range"),
+    ({0: 5, 10**9: 3}, "spare-row alias is only valid as a CiM operand"),
+])
+def test_a_load_that_raises_stores_nothing(image, message):
+    arr = CimArray()
+    arr.write_word(2, 9)
+    before = list(arr._words)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        arr.load(image)
+    assert arr._words == before
+
+
+@pytest.mark.parametrize("spare", ["none", "a", "b"])
+def test_vcim_matches_plain_int_lanes(spare):
+    # Bank 1 of _SMALL: data rows 0 and 1, the spare row holding one word.
+    rng = random.Random(3)
+    arr = CimArray(_SMALL)
+    base = _SMALL.words_per_bank
+    row0 = [0, 0x5A, _MASK8, 0x0F, 0x5A, 0, 1, 0x80]
+    row1 = [rng.getrandbits(8) for _ in range(4)] + [0x5A, 0xF0, 0, 0x3C]
+    arr.load(dict(enumerate(row0 + row1, base)))
+    arr.write_spare(1, 0x5A)
+    words = {"row0": row0, "row1": row1, "spare": [0x5A] * _SMALL.words_per_row}
+    names = {"none": ("row0", "row1"), "a": ("spare", "row1"), "b": ("row0", "spare")}[spare]
+    for lanes, groups in ((4, (0, 2, 4)), (8, (0,))):
+        for group in groups:
+            addrs = [base + group + (SPARE_ALIAS if name == "spare" else
+                                     _SMALL.words_per_row * (name == "row1"))
+                     for name in names]
+            a, b = (words[name][group:group + lanes] for name in names)
+            for op in _TWO_ROW_OPS:
+                results = [_reference(op, x, y, 8) for x, y in zip(a, b)]
+                want_sum = sum(results) % 256
+                want_zcmp = sum(1 << k for k, v in enumerate(results) if v)
+                assert arr.vcim(op, *addrs, lanes, "sum") == want_sum, (op, lanes, group)
+                assert arr.vcim(op, *addrs, lanes, "zcmp") == want_zcmp, (op, lanes, group)
+
+
+def test_an_int_op_acts_as_its_member():
+    arr = CimArray()
+    arr.load({0: 3, 16: 5, 1: 0, 17: 9})
+    # 3 AND 5 as the int 2 once computed NOR, 0xfffffff8.
+    assert arr.cim_word(2, 0, 16) == (1, 1)
+    # The int 6 is XOR: once vcim counted the access, then raised.
+    assert arr.vcim(6, 0, 16, 4, "sum") == (3 ^ 5) + 9
+    for op in _TWO_ROW_OPS:
+        assert arr.cim_word(int(op), 0, 16) == arr.cim_word(op, 0, 16)
+        for reduce in ("sum", "zcmp"):
+            assert arr.vcim(int(op), 0, 16, 4, reduce) == arr.vcim(op, 0, 16, 4, reduce)
+    before = arr.counters.as_dict()
+    for op in (0, 1, 8, CimOp.READ, CimOp.NOT):
+        with pytest.raises(ValueError, match="is not a two-row op$"):
+            arr.cim_word(op, 0, 16)
+        with pytest.raises(ValueError, match="is not a two-row op$"):
+            arr.vcim(op, 0, 16, 4, "sum")
+    assert arr.counters.as_dict() == before
+
+
+def test_an_int_op_takes_its_member_error_flow():
+    # Under noise the XOR lane gets corrected: the int 6 is fixed up in the
+    # array like XOR, and the other ints fall back like their members.
+    arrs = [CimArray(_SMALL, InjectedColumnNoise(0.05, seed=4)) for _ in range(2)]
+    rng = random.Random(8)
+    image = {a: rng.getrandbits(8) for a in range(_SMALL.total_words)}
+    for arr in arrs:
+        arr.load(image)
+    for k in range(300):
+        op = _TWO_ROW_OPS[k % len(_TWO_ROW_OPS)]
+        a = rng.randrange(_SMALL.words_per_bank)
+        b = (a + _SMALL.words_per_row) % _SMALL.words_per_bank
+        assert (_noisy_outcome(arrs[0], ("cim_word", int(op), a, b))
+                == _noisy_outcome(arrs[1], ("cim_word", op, a, b)))
+        assert arrs[0].counters == arrs[1].counters
+    assert arrs[0].counters.xor_fixups > 0 and arrs[0].counters.fallbacks > 0

@@ -322,3 +322,22 @@ def test_decode_at_every_field_boundary(case):
         code.decode(_out_of_range(code.n, overshoot))
     with pytest.raises(ValueError):
         code.encode(_out_of_range(code.data_bits, overshoot))
+
+
+# -- batch encode ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, width", [("ec3ed4", w) for w in (1, 8, 16, 32, 45)]
+                         + [("secded", w) for w in (1, 4, 8, 32, 57, 58, 120)])
+def test_encode_many_matches_encode(name, width):
+    code = make_code(name, width)
+    rng = random.Random(width)
+    top = (1 << width) - 1
+    words = [0, top] + [rng.getrandbits(width) for _ in range(300)]
+    got = code.encode_many(words)
+    assert got == [code.encode(w) for w in words]
+    assert all(type(w) is int for w in got)
+    assert code.encode_many([]) == []
+    for bad in (-1, -(1 << 70), top + 1, 1 << max(63, width), 1 << 130):
+        with pytest.raises(ValueError, match="^data out of range$"):
+            code.encode_many([0, bad, top])
